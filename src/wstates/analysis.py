@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import Circuit, F, Gate, Level
+from .gates import F_CODE, Circuit, GateColumns, Level
 from .lowering import lower
 from .simulator import basis_state, fidelity, run, w_reference
 from .synthesis import CountPrediction, build_w_circuit, predicted_counts
@@ -117,12 +117,11 @@ def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:
 
 def _perturbed_circuit(base: Circuit, position: int, delta_degrees: float) -> Circuit:
     shift = 4.0 * math.radians(delta_degrees)  # plate shift -> mixing angle
-    gates: list[Gate] = []
-    for g in base.gates:
-        if g.kind == "F" and g.control == position:
-            g = F(g.control, g.target, g.angle + shift)
-        gates.append(g)
-    return Circuit(base.n_qubits, tuple(gates), base.level)
+    cols = base.gates
+    angle = cols.angle.copy()
+    angle[(cols.kind == F_CODE) & (cols.control == position)] += shift
+    gates = GateColumns._adopt(cols.kind, cols.control, cols.target, angle)
+    return Circuit(base.n_qubits, gates, base.level)
 
 
 def angle_sensitivity(

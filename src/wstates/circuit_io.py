@@ -26,11 +26,22 @@ from __future__ import annotations
 import math
 
 from .errors import CircuitParseError
-from .gates import ALLOWED_KINDS, Circuit, Gate, Level
+from .gates import (
+    ALLOWED_KINDS,
+    CNOT_CODE,
+    F_CODE,
+    GATE_KINDS,
+    KIND_CODES,
+    ROT_CODE,
+    Circuit,
+    GateColumns,
+    Level,
+)
 
 _HEADER = "wcircuit"
 _VERSION = "1"
 _ARITY = {"F": 3, "CNOT": 2, "CZ": 2, "ROT": 2}
+_MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -41,16 +52,22 @@ def serialize_circuit(circuit: Circuit) -> str:
     """
     plate_comments = circuit.level == Level.ELEMENTARY
     lines = [f"{_HEADER} {_VERSION}", f"qubits {circuit.n_qubits}"]
-    for g in circuit.gates:
-        if g.kind == "F":
-            lines.append(f"F {g.control} {g.target} {g.angle:.17g}")
-        elif g.kind == "ROT":
-            line = f"ROT {g.target} {g.angle:.17g}"
+    cols = circuit.gates
+    for kind, control, target, angle in zip(
+        cols.kind.tolist(), cols.control.tolist(), cols.target.tolist(),
+        cols.angle.tolist(),
+    ):
+        if kind == CNOT_CODE:  # by far the most common line
+            lines.append(f"CNOT {control} {target}")
+        elif kind == F_CODE:
+            lines.append(f"F {control} {target} {angle:.17g}")
+        elif kind == ROT_CODE:
+            line = f"ROT {target} {angle:.17g}"
             if plate_comments:
-                line += f" # plate_angle_deg={math.degrees(g.angle / 2):.12g}"
+                line += f" # plate_angle_deg={math.degrees(angle / 2):.12g}"
             lines.append(line)
         else:
-            lines.append(f"{g.kind} {g.control} {g.target}")
+            lines.append(f"CZ {control} {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -85,22 +102,24 @@ def _parse_angle(token: str, lineno: int) -> float:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse wcircuit v1 text into a Circuit.  Strict; raises CircuitParseError."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
-
-    if not rows:
+    # Rows are tokenized one at a time, so no token list outlives its line.
+    rows = (
+        (lineno, line.split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    first = next(rows, None)
+    if first is None:
         raise CircuitParseError("empty document")
-    lineno, header = rows[0]
+    lineno, header = first
     if header != [_HEADER, _VERSION]:
         raise CircuitParseError(
             f"line {lineno}: expected '{_HEADER} {_VERSION}' header"
         )
-    if len(rows) < 2 or rows[1][1][0] != "qubits":
+    second = next(rows, None)
+    if second is None or second[1][0] != "qubits":
         raise CircuitParseError("missing 'qubits <n>' line")
-    lineno, qubits_row = rows[1]
+    lineno, qubits_row = second
     if len(qubits_row) != 2:
         raise CircuitParseError(f"line {lineno}: 'qubits' takes one field")
     try:
@@ -111,9 +130,13 @@ def parse_circuit(text: str) -> Circuit:
         ) from None
     if n < 2:
         raise CircuitParseError(f"line {lineno}: need at least 2 qubits")
+    if n > _MAX_QUBITS:
+        raise CircuitParseError(
+            f"line {lineno}: qubit count {n} above {_MAX_QUBITS}"
+        )
 
-    gates = []
-    for lineno, tokens in rows[2:]:
+    codes, controls, targets, angles = [], [], [], []
+    for lineno, tokens in rows:
         kind = tokens[0]
         if kind not in _ARITY:
             raise CircuitParseError(f"line {lineno}: unknown keyword {kind!r}")
@@ -122,27 +145,25 @@ def parse_circuit(text: str) -> Circuit:
                 f"line {lineno}: {kind} takes {_ARITY[kind]} fields, "
                 f"got {len(tokens) - 1}"
             )
-        try:
-            if kind == "ROT":
-                gate = Gate(
-                    "ROT",
-                    _parse_index(tokens[1], n, lineno),
-                    None,
-                    _parse_angle(tokens[2], lineno),
+        if kind == "ROT":
+            control = 0
+            target = _parse_index(tokens[1], n, lineno)
+            angle = _parse_angle(tokens[2], lineno)
+        else:
+            control = _parse_index(tokens[1], n, lineno)
+            target = _parse_index(tokens[2], n, lineno)
+            angle = _parse_angle(tokens[3], lineno) if kind == "F" else 0.0
+            if control == target:
+                raise CircuitParseError(
+                    f"line {lineno}: control and target must differ"
                 )
-            else:
-                control = _parse_index(tokens[1], n, lineno)
-                target = _parse_index(tokens[2], n, lineno)
-                angle = _parse_angle(tokens[3], lineno) if kind == "F" else None
-                gate = Gate(kind, target, control, angle)
-        except CircuitParseError:
-            raise
-        except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
-        gates.append(gate)
+        codes.append(KIND_CODES[kind])
+        controls.append(control)
+        targets.append(target)
+        angles.append(angle)
 
-    level = _infer_level({g.kind for g in gates})
-    return Circuit(n, tuple(gates), level)
+    level = _infer_level({GATE_KINDS[c] for c in set(codes)})
+    return Circuit(n, GateColumns(codes, controls, targets, angles), level)
 
 
 def load_circuit(path) -> Circuit:

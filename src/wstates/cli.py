@@ -24,7 +24,15 @@ from .circuit_io import load_circuit, serialize_circuit
 from .errors import CapacityError, CircuitParseError
 from .gates import Level
 from .lowering import lower
-from .simulator import basis_state, dump_state, fidelity, pick_backend, run, w_reference
+from .simulator import (
+    basis_state,
+    check_capacity,
+    dump_state,
+    fidelity,
+    pick_backend,
+    run,
+    w_reference,
+)
 from .synthesis import build_w_circuit
 
 FIDELITY_PASS = 1.0 - 1e-10
@@ -73,8 +81,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    circuit = build_w_circuit(n)
     backend = _resolve_backend(n, args.backend, args.auto_threshold)
+    check_capacity(n, backend)
+    circuit = build_w_circuit(n)
     out = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend=backend), backend=backend)
     fid = fidelity(out, w_reference(n))
     print(f"n={n} fidelity={fid:.12f}")
@@ -225,6 +234,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (CircuitParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

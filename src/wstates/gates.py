@@ -18,11 +18,21 @@ Conventions:
   Gate lists are in application order (first gate applied first): the
   left-to-right order of a bench diagram, i.e. the reverse of
   operator-product notation.
+
+Storage:
+  A Circuit keeps its gates as GateColumns, four read-only numpy columns
+  with one row per gate: kind code (the index of the kind in GATE_KINDS),
+  control (0 for ROT), target, and angle (0.0 for CNOT and CZ).  Builders
+  and rewrites fill the columns with array operations, so a circuit of
+  millions of gates holds no per-gate Python object.  Gate values are made
+  only when an item of the sequence is read; `circuit.gates[i]` is a Gate
+  and a slice is a tuple of Gates.
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,8 @@ import numpy as np
 from .errors import CapacityError
 
 GATE_KINDS = ("F", "CNOT", "CZ", "ROT")
+F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE = range(len(GATE_KINDS))
+KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
 TWO_QUBIT_KINDS = frozenset({"F", "CNOT", "CZ"})
 ANGLED_KINDS = frozenset({"F", "ROT"})
 
@@ -105,28 +117,161 @@ def ROT(qubit: int, alpha: float) -> Gate:
     return Gate("ROT", qubit, None, float(alpha))
 
 
+class GateColumns(Sequence):
+    """Read-only gate sequence stored as four numpy columns, one row per gate.
+
+    kind holds uint8 codes (F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE); control
+    and target hold int32 1-based wires, with control 0 on ROT rows; angle
+    holds float64 mixing angles, 0.0 on CNOT and CZ rows.  The constructor
+    copies its arguments into read-only columns, so nothing the caller
+    holds can change them, and checks them against the same invariants as
+    Gate.  Indexing creates a Gate, slicing a tuple of Gates, and a
+    GateColumns compares equal to the tuple of the same Gates.
+    """
+
+    __slots__ = ("kind", "control", "target", "angle")
+
+    def __init__(self, kind, control, target, angle):
+        self._freeze(np.array, kind, control, target, angle)
+
+    @classmethod
+    def _adopt(cls, kind, control, target, angle) -> GateColumns:
+        """GateColumns over arrays made inside this package and held
+        nowhere else (or already frozen columns): taken over without a copy
+        and marked read-only.  Spares the builders a second copy of a
+        circuit of millions of gates."""
+        self = cls.__new__(cls)
+        self._freeze(np.asarray, kind, control, target, angle)
+        return self
+
+    def _freeze(self, convert, kind, control, target, angle) -> None:
+        self.kind = _frozen_column(convert, kind, np.uint8)
+        self.control = _frozen_column(convert, control, np.int32)
+        self.target = _frozen_column(convert, target, np.int32)
+        self.angle = _frozen_column(convert, angle, np.float64)
+        size = self.kind.shape[0]
+        for col in self._columns():
+            if col.shape != (size,):
+                raise ValueError("gate columns must be 1-D and of equal length")
+        self._check()
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.kind, self.control, self.target, self.angle)
+
+    def _check(self) -> None:
+        # Whole-column tests only: masks, no gathered copies of the columns.
+        kind, control, target, angle = self._columns()
+        bad = kind >= len(GATE_KINDS)
+        if bad.any():
+            raise ValueError(f"unknown gate kind code {int(kind[bad.argmax()])}")
+        rot = kind == ROT_CODE
+        if ((control != 0) & rot).any():
+            raise ValueError("ROT takes no control qubit")
+        if (target < 1).any() or ((control < 1) & ~rot).any():
+            raise ValueError("qubit indices are 1-based")
+        if (control == target).any():
+            raise ValueError("control and target must differ")
+        if ((angle != 0.0) & ~(rot | (kind == F_CODE))).any():
+            raise ValueError("CNOT and CZ carry no angle")
+        if not np.isfinite(angle).all():
+            raise ValueError("F and ROT require finite angles")
+
+    def __len__(self) -> int:
+        return self.kind.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._rows(index))
+        i = range(len(self))[index]  # normalizes negatives, raises IndexError
+        return _gate_of(
+            int(self.kind[i]), int(self.control[i]), int(self.target[i]),
+            float(self.angle[i]),
+        )
+
+    def _rows(self, index: slice = slice(None)):
+        return map(_gate_of, *(c[index].tolist() for c in self._columns()))
+
+    def __iter__(self):
+        return self._rows()
+
+    def __eq__(self, other):
+        if isinstance(other, GateColumns):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        kind, control, target, angle = self._columns()
+        # + 0.0 maps -0.0 to 0.0, which compare equal.
+        return hash((kind.tobytes(), control.tobytes(), target.tobytes(),
+                     (angle + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"GateColumns(<{len(self)} gates>)"
+
+
+def _gate_of(kind: int, control: int, target: int, angle: float) -> Gate:
+    if kind == ROT_CODE:
+        return Gate("ROT", target, None, angle)
+    if kind == F_CODE:
+        return Gate("F", target, control, angle)
+    return Gate(GATE_KINDS[kind], target, control)
+
+
+def _frozen_column(convert, values, dtype) -> np.ndarray:
+    """values as a read-only column, by np.array (copy) or np.asarray."""
+    try:
+        column = convert(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(
+            f"gate column value out of range for {np.dtype(dtype)}"
+        ) from None
+    column.setflags(write=False)
+    return column
+
+
+def columns_of(gates) -> GateColumns:
+    """GateColumns holding the given Gate values, in order."""
+    gates = tuple(gates)
+    return GateColumns(
+        [KIND_CODES[g.kind] for g in gates],
+        [0 if g.control is None else g.control for g in gates],
+        [g.target for g in gates],
+        [0.0 if g.angle is None else g.angle for g in gates],
+    )
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class Circuit:
-    """Ordered gate list over n_qubits wires at a declared lowering level."""
+    """Ordered gate list over n_qubits wires at a declared lowering level.
+
+    gates may be given as any iterable of Gate values or as GateColumns;
+    it is stored as GateColumns.
+    """
 
     n_qubits: int
-    gates: tuple[Gate, ...]
+    gates: GateColumns
     level: Level
 
     def __post_init__(self):
-        if not isinstance(self.gates, tuple):
-            object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 2:
             raise ValueError("circuits need at least 2 qubits")
-        allowed = ALLOWED_KINDS[self.level]
+        cols = self.gates
+        if not isinstance(cols, GateColumns):
+            cols = columns_of(cols)
+            object.__setattr__(self, "gates", cols)
+        if len(cols) == 0:
+            return
+        allowed = np.array([k in ALLOWED_KINDS[self.level] for k in GATE_KINDS])
+        bad = ~allowed[cols.kind]
+        if bad.any():
+            kind = GATE_KINDS[cols.kind[bad.argmax()]]
+            raise ValueError(f"{kind} gate not allowed at level {self.level.name}")
         n = self.n_qubits
-        for g in self.gates:
-            if g.kind not in allowed:
-                raise ValueError(
-                    f"{g.kind} gate not allowed at level {self.level.name}"
-                )
-            if g.target > n or (g.control is not None and g.control > n):
-                raise ValueError(f"gate {g} exceeds {n} qubits")
+        bad = (cols.target > n) | (cols.control > n)
+        if bad.any():
+            raise ValueError(f"gate {cols[int(bad.argmax())]} exceeds {n} qubits")
 
     def __repr__(self):
         return (
@@ -135,10 +280,8 @@ class Circuit:
         )
 
     def gate_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(GATE_KINDS, 0)
-        for g in self.gates:
-            counts[g.kind] += 1
-        return {k: v for k, v in counts.items() if v}
+        tally = np.bincount(self.gates.kind, minlength=len(GATE_KINDS)).tolist()
+        return {k: v for k, v in zip(GATE_KINDS, tally) if v}
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:

@@ -1,15 +1,31 @@
 """Unitary-preserving rewrites from composite gates down to ROT + CNOT.
 
 Levels descend COMPOSITE -> CZ_LEVEL -> ELEMENTARY.  Each pass rewrites
-gates in place, preserving order; adjacent ROTs are deliberately not
-merged, so a fully lowered F gate keeps the 4-plates-plus-CNOT structure
-[ROT, ROT, CNOT, ROT, ROT] on its target wire.
+gates in place, preserving order, by one repeat-and-fill over the gate
+columns; lower_f and lower_cz state the same rules for a single Gate.
+Adjacent ROTs are deliberately not merged, so a fully lowered F gate keeps
+the 4-plates-plus-CNOT structure [ROT, ROT, CNOT, ROT, ROT] on its target
+wire.
 """
 from __future__ import annotations
 
 import math
 
-from .gates import CNOT, CZ, Circuit, Gate, Level, ROT
+import numpy as np
+
+from .gates import (
+    CNOT,
+    CNOT_CODE,
+    CZ,
+    CZ_CODE,
+    F_CODE,
+    ROT,
+    ROT_CODE,
+    Circuit,
+    Gate,
+    GateColumns,
+    Level,
+)
 
 
 def lower_f(g: Gate) -> list[Gate]:
@@ -29,14 +45,25 @@ def lower_cz(g: Gate) -> list[Gate]:
     return [ROT(g.target, quarter), CNOT(g.control, g.target), ROT(g.target, quarter)]
 
 
-def _rewrite(circuit: Circuit, kind: str, rule, new_level: Level) -> Circuit:
-    gates: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind == kind:
-            gates.extend(rule(g))
-        else:
-            gates.append(g)
-    return Circuit(circuit.n_qubits, tuple(gates), new_level)
+def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) -> Circuit:
+    """Replace every `code` gate (c, t) by [ROT(t, p), middle(c, t), ROT(t, p)],
+    where p = plate(angles of the replaced gates), in one pass over the columns."""
+    cols = circuit.gates
+    hit = cols.kind == code
+    reps = np.where(hit, 3, 1)
+    at = np.flatnonzero(hit)
+    first = at + 2 * np.arange(at.size)  # output row of each replaced gate
+    kind, control, target, angle = (
+        np.repeat(c, reps) for c in (cols.kind, cols.control, cols.target, cols.angle)
+    )
+    plates = plate(cols.angle[hit])
+    for row in (first, first + 2):
+        kind[row] = ROT_CODE
+        control[row] = 0
+        angle[row] = plates
+    kind[first + 1] = middle
+    angle[first + 1] = 0.0
+    return Circuit(circuit.n_qubits, GateColumns._adopt(kind, control, target, angle), new_level)
 
 
 def lower(circuit: Circuit, target: Level) -> Circuit:
@@ -48,7 +75,10 @@ def lower(circuit: Circuit, target: Level) -> Circuit:
         )
     result = circuit
     if result.level == Level.COMPOSITE and target < Level.COMPOSITE:
-        result = _rewrite(result, "F", lower_f, Level.CZ_LEVEL)
+        # Same bits as lower_f: float64 halving is exact in numpy too.
+        result = _rewrite(result, F_CODE, CZ_CODE, lambda a: a / 2.0, Level.CZ_LEVEL)
     if result.level == Level.CZ_LEVEL and target < Level.CZ_LEVEL:
-        result = _rewrite(result, "CZ", lower_cz, Level.ELEMENTARY)
+        result = _rewrite(
+            result, CZ_CODE, CNOT_CODE, lambda a: math.pi / 4, Level.ELEMENTARY
+        )
     return result

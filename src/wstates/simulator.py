@@ -7,12 +7,18 @@ exceeds n simultaneous nonzeros, so sparse runs scale to thousands of
 qubits.  Amplitudes are real by construction (every gate matrix is real),
 so no complex storage exists anywhere.
 
-During a sparse run the engine keeps a private scratch: a (n_qubits x
-support) bit matrix plus an amplitude vector.  A CNOT is then one row XOR,
-a CZ one masked sign flip, and only the mixing gates (ROT, F) need pair
-matching.  States are converted back to plain index->amplitude mappings at
-API boundaries; amplitudes below the prune threshold are dropped after
-each mixing gate (with this circuit family that only ever removes
+Both engines read the circuit's gate columns (see gates.py), never Gate
+objects.  The dense engine applies one gate per step.  During a sparse run
+the engine keeps a private scratch: a (n_qubits x support) bit matrix plus
+an amplitude vector.  A CNOT is then one row XOR, a CZ one masked sign
+flip, and only the mixing gates (ROT, F) need pair matching.  Before
+running, the sparse engine plans maximal runs of consecutive CNOTs that
+share a target (the fan-in layers that make up almost all of the W
+network) and applies each run as a single XOR-reduce of its control rows
+into the target row, which gives the same bits as one CNOT at a time.
+States are converted back to plain index->amplitude mappings at API
+boundaries; amplitudes below the prune threshold are dropped after each
+mixing gate (with this circuit family that only ever removes
 numerically-zero residue).
 """
 from __future__ import annotations
@@ -23,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .gates import Circuit, Gate
+from .gates import (
+    CNOT_CODE,
+    CZ_CODE,
+    F_CODE,
+    Circuit,
+    Gate,
+    GateColumns,
+    columns_of,
+)
 
 DENSE_QUBIT_CAP = 24
 SPARSE_QUBIT_CAP = 10000
@@ -190,40 +204,59 @@ def _ix(n: int, fixes: tuple[tuple[int, int], ...]):
     return tuple(idx)
 
 
-def _dense_apply(t: np.ndarray, g: Gate, n: int) -> None:
-    kind = g.kind
-    if kind == "CNOT":
-        i10 = _ix(n, ((g.control, 1), (g.target, 0)))
-        i11 = _ix(n, ((g.control, 1), (g.target, 1)))
+def _dense_apply(
+    t: np.ndarray, kind: int, control: int, target: int, angle: float, n: int
+) -> None:
+    if kind == CNOT_CODE:
+        i10 = _ix(n, ((control, 1), (target, 0)))
+        i11 = _ix(n, ((control, 1), (target, 1)))
         tmp = t[i10].copy()
         t[i10] = t[i11]
         t[i11] = tmp
-    elif kind == "CZ":
-        t[_ix(n, ((g.control, 1), (g.target, 1)))] *= -1.0
+    elif kind == CZ_CODE:
+        t[_ix(n, ((control, 1), (target, 1)))] *= -1.0
     else:  # ROT or F: mix the target-bit pair, F only in the control=1 sector
-        if kind == "F":
-            i0 = _ix(n, ((g.control, 1), (g.target, 0)))
-            i1 = _ix(n, ((g.control, 1), (g.target, 1)))
+        if kind == F_CODE:
+            i0 = _ix(n, ((control, 1), (target, 0)))
+            i1 = _ix(n, ((control, 1), (target, 1)))
         else:
-            i0 = _ix(n, ((g.target, 0),))
-            i1 = _ix(n, ((g.target, 1),))
-        c, s = math.cos(g.angle), math.sin(g.angle)
+            i0 = _ix(n, ((target, 0),))
+            i1 = _ix(n, ((target, 1),))
+        c, s = math.cos(angle), math.sin(angle)
         a0 = t[i0].copy()
         t[i0] = c * a0 + s * t[i1]
         t[i1] = s * a0 - c * t[i1]
 
 
-def _run_dense(vec: np.ndarray, gates, n: int, check_norm: bool) -> None:
+def _run_dense(vec: np.ndarray, gates: GateColumns, n: int, check_norm: bool) -> None:
     t = vec.reshape((2,) * n)
-    for g in gates:
-        _dense_apply(t, g, n)
+    rows = zip(
+        gates.kind.tolist(), gates.control.tolist(), gates.target.tolist(),
+        gates.angle.tolist(),
+    )
+    for i, row in enumerate(rows):
+        _dense_apply(t, *row, n)
         if check_norm:
             norm_sq = float(np.dot(vec, vec))
             if abs(norm_sq - 1.0) > 1e-10:
-                raise RuntimeError(f"norm drifted to {norm_sq!r} after {g}")
+                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[i]}")
 
 
 # --- sparse engine --------------------------------------------------------
+
+def _fusion_plan(gates: GateColumns) -> np.ndarray:
+    """First row of each op: a maximal run of consecutive CNOTs that share a
+    target is one op, every other gate is its own op.
+
+    A run can be applied as one XOR of its control rows into the target row,
+    exactly: no control of the run is its target, so no CNOT of the run
+    changes a control row, the CNOTs commute, and XOR is exact.
+    """
+    cnot = gates.kind == CNOT_CODE
+    joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])
+    # The slice drops the one start an empty circuit would otherwise get.
+    return np.flatnonzero(np.concatenate(([True], ~joins)))[: len(gates)]
+
 
 class _SparseEngine:
     """Run-private scratch: bit matrix (n x capacity) + amplitude vector."""
@@ -312,30 +345,36 @@ class _SparseEngine:
                 self.m = i + 1
         self._compact()
 
-    def apply(self, g: Gate) -> None:
-        m = self.m
-        if g.kind == "CNOT":
-            self.bits[g.target - 1, :m] ^= self.bits[g.control - 1, :m]
-        elif g.kind == "CZ":
-            both = (self.bits[g.control - 1, :m] & self.bits[g.target - 1, :m]) != 0
-            if both.any():
-                self.amps[:m][both] *= -1.0
-        elif g.kind == "ROT":
-            self._mix(None, g.target, g.angle)
-        else:
-            self._mix(g.control, g.target, g.angle)
-
     def norm_squared(self) -> float:
         a = self.amps[: self.m]
         return float(np.dot(a, a))
 
-    def run(self, gates, check_norm: bool) -> None:
-        for g in gates:
-            self.apply(g)
+    def run(self, gates: GateColumns, check_norm: bool) -> None:
+        """Apply the gates in order, each fused CNOT run as one op."""
+        starts = _fusion_plan(gates)
+        ends = [*starts[1:].tolist(), len(gates)]
+        rows = zip(
+            starts.tolist(), ends, gates.kind[starts].tolist(),
+            gates.control[starts].tolist(), gates.target[starts].tolist(),
+            gates.angle[starts].tolist(),
+        )
+        for start, end, kind, control, target, angle in rows:
+            m = self.m
+            if kind == CNOT_CODE:
+                fan_in = self.bits[gates.control[start:end] - 1, :m]
+                self.bits[target - 1, :m] ^= np.bitwise_xor.reduce(fan_in, axis=0)
+            elif kind == CZ_CODE:
+                both = (self.bits[control - 1, :m] & self.bits[target - 1, :m]) != 0
+                if both.any():
+                    self.amps[:m][both] *= -1.0
+            else:
+                self._mix(control if kind == F_CODE else None, target, angle)
             if check_norm:
                 norm_sq = self.norm_squared()
                 if abs(norm_sq - 1.0) > 1e-10:
-                    raise RuntimeError(f"norm drifted to {norm_sq!r} after {g}")
+                    raise RuntimeError(
+                        f"norm drifted to {norm_sq!r} after {gates[end - 1]}"
+                    )
 
     def to_items(self) -> dict[int, float]:
         m = self.m
@@ -349,6 +388,25 @@ class _SparseEngine:
 
 
 # --- public execution API -------------------------------------------------
+
+def check_capacity(
+    n: int,
+    backend: str,
+    *,
+    dense_cap: int = DENSE_QUBIT_CAP,
+    sparse_cap: int = SPARSE_QUBIT_CAP,
+) -> None:
+    """Raise CapacityError if the "dense" or "sparse" backend cannot run n
+    qubits; cheap, so callers check before building anything."""
+    if backend == "dense":
+        cap = dense_cap
+    elif backend == "sparse":
+        cap = sparse_cap
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    if n > cap:
+        raise CapacityError(f"{backend} backend capped at {cap} qubits (got {n})")
+
 
 def run(
     circuit: Circuit,
@@ -375,20 +433,11 @@ def run(
     chosen = backend or state.backend
     if chosen == "auto":
         chosen = pick_backend(n, auto_threshold)
+    check_capacity(n, chosen, dense_cap=dense_cap, sparse_cap=sparse_cap)
     if chosen == "dense":
-        if n > dense_cap:
-            raise CapacityError(
-                f"dense backend capped at {dense_cap} qubits (got {n})"
-            )
         vec = state.to_dense(dense_cap).amplitudes.copy()
         _run_dense(vec, circuit.gates, n, check_norm)
         return QuantumState(n, vec, "dense")
-    if chosen != "sparse":
-        raise ValueError(f"unknown backend {chosen!r}")
-    if n > sparse_cap:
-        raise CapacityError(
-            f"sparse backend capped at {sparse_cap} qubits (got {n})"
-        )
     engine = _SparseEngine(n, dict(state.items()), prune)
     engine.run(circuit.gates, check_norm)
     return QuantumState(n, engine.to_items(), "sparse")
@@ -398,12 +447,13 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a single gate, staying on the state's backend."""
     if gate.target > state.n or (gate.control is not None and gate.control > state.n):
         raise ValueError(f"gate {gate} exceeds {state.n} qubits")
+    gates = columns_of((gate,))
     if state.backend == "dense":
         vec = state.amplitudes.copy()
-        _run_dense(vec, (gate,), state.n, check_norm=False)
+        _run_dense(vec, gates, state.n, check_norm=False)
         return QuantumState(state.n, vec, "dense")
     engine = _SparseEngine(state.n, state.amplitudes, PRUNE_THRESHOLD)
-    engine.apply(gate)
+    engine.run(gates, check_norm=False)
     return QuantumState(state.n, engine.to_items(), "sparse")
 
 

@@ -120,6 +120,13 @@ def test_parse_error_reports_line_number():
         parse_circuit("wcircuit 1\nqubits 2\nCNOT 0 1\n")
 
 
+def test_qubit_count_beyond_int32_rejected_with_line_number():
+    big = 2**31
+    assert parse_circuit(f"wcircuit 1\nqubits {big - 1}\nCNOT {big - 1} 1\n")
+    with pytest.raises(CircuitParseError, match="line 2"):
+        parse_circuit(f"wcircuit 1\nqubits {big}\nCNOT {big} 1\n")
+
+
 _gates = st.integers(2, 5).flatmap(
     lambda n: st.tuples(
         st.just(n),

@@ -271,3 +271,32 @@ def test_module_entry_point_subprocess(tmp_path):
         capture_output=True, text=True,
     )
     assert bad.returncode == 2
+
+
+def _no_build(n):
+    raise AssertionError(f"build_w_circuit({n}) ran before the capacity check")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--n", "10001"), ("verify", "--n", "25", "--backend", "dense")],
+)
+def test_verify_checks_capacity_before_building(monkeypatch, capsys, argv):
+    import wstates.cli
+
+    monkeypatch.setattr(wstates.cli, "build_w_circuit", _no_build)
+    code, out, err = cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "capped" in err
+
+
+def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
+    import wstates.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(wstates.cli, "resource_report", exhausted)
+    code, out, err = cli(capsys, "analyze", "--n", "9000")
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
