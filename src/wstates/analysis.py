@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .gates import F_CODE, Circuit, GateColumns, Level
 from .lowering import lower
-from .simulator import basis_state, fidelity, run, w_reference
+from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
 from .synthesis import CountPrediction, build_w_circuit, predicted_counts
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
@@ -138,7 +138,7 @@ def angle_sensitivity(
     |VH...H>, and the resulting fidelity recorded.  Records come back
     sorted by delta.
     """
-    base = build_w_circuit(n)
+    predicted_counts(n)  # rejects n < 3 before the position check reads n
     if not 1 <= gate_position <= n - 1:
         raise ValueError(
             f"gate position must be in [1, {n - 1}], got {gate_position}"
@@ -146,6 +146,8 @@ def angle_sensitivity(
     for d in delta_degrees:
         if not math.isfinite(d):
             raise ValueError("perturbations must be finite")
+    backend = resolve_backend(n, backend)
+    base = build_w_circuit(n)
     input_state = basis_state(n, "V" + "H" * (n - 1), backend=backend)
     reference = w_reference(n)
     records = []

@@ -26,10 +26,9 @@ from .gates import Level
 from .lowering import lower
 from .simulator import (
     basis_state,
-    check_capacity,
     dump_state,
     fidelity,
-    pick_backend,
+    resolve_backend,
     run,
     w_reference,
 )
@@ -55,10 +54,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _resolve_backend(n: int, backend: str, auto_threshold: int) -> str:
-    return pick_backend(n, auto_threshold) if backend == "auto" else backend
-
-
 def _cmd_synth(args) -> int:
     _emit(serialize_circuit(build_w_circuit(args.n)), args.out)
     return 0
@@ -72,17 +67,19 @@ def _cmd_lower(args) -> int:
 
 def _cmd_simulate(args) -> int:
     circuit = load_circuit(args.circuit)
-    n = circuit.n_qubits
-    backend = _resolve_backend(n, args.backend, args.auto_threshold)
-    state = run(circuit, basis_state(n, args.input, backend=backend), backend=backend)
+    # The input is checked before run resolves the backend and its cap, so
+    # a malformed input exits 2 even on a circuit no backend can run.
+    state = run(
+        circuit, basis_state(circuit.n_qubits, args.input, backend="sparse"),
+        backend=args.backend, auto_threshold=args.auto_threshold,
+    )
     sys.stdout.write(dump_state(state))
     return 0
 
 
 def _cmd_verify(args) -> int:
     n = args.n
-    backend = _resolve_backend(n, args.backend, args.auto_threshold)
-    check_capacity(n, backend)
+    backend = resolve_backend(n, args.backend, auto_threshold=args.auto_threshold)
     circuit = build_w_circuit(n)
     out = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend=backend), backend=backend)
     fid = fidelity(out, w_reference(n))

@@ -17,9 +17,16 @@ share a target (the fan-in layers that make up almost all of the W
 network) and applies each run as a single XOR-reduce of its control rows
 into the target row, which gives the same bits as one CNOT at a time.
 States are converted back to plain index->amplitude mappings at API
-boundaries; amplitudes below the prune threshold are dropped after each
+boundaries; amplitudes below PRUNE_THRESHOLD are dropped after each
 mixing gate (with this circuit family that only ever removes
 numerically-zero residue).
+
+There is one execution path.  resolve_backend is the only place that maps
+"auto" to a backend and checks the run cap.  run converts the input to
+that backend's storage and, like apply_gate, hands it to _execute, which
+steps the matching engine one op at a time (a gate on the dense engine, a
+gate or fused CNOT run on the sparse one) and, with check_norm, checks the
+norm after each op.
 """
 from __future__ import annotations
 
@@ -157,18 +164,10 @@ def basis_state(
     """Computational basis state |bits>, e.g. basis_state(3, "VHH")."""
     if len(bits) != n:
         raise ValueError(f"expected {n} characters, got {len(bits)}")
-    index = encode_bits(bits)
+    state = QuantumState(n, {encode_bits(bits): 1.0}, "sparse")
     if backend == "auto":
         backend = pick_backend(n)
-    if backend == "dense":
-        if n > dense_cap:
-            raise CapacityError(
-                f"dense storage capped at {dense_cap} qubits (got {n})"
-            )
-        vec = np.zeros(1 << n)
-        vec[index] = 1.0
-        return QuantumState(n, vec, "dense")
-    return QuantumState(n, {index: 1.0}, "sparse")
+    return state.to_dense(dense_cap) if backend == "dense" else state
 
 
 def w_reference(n: int) -> QuantumState:
@@ -228,18 +227,27 @@ def _dense_apply(
         t[i1] = s * a0 - c * t[i1]
 
 
-def _run_dense(vec: np.ndarray, gates: GateColumns, n: int, check_norm: bool) -> None:
-    t = vec.reshape((2,) * n)
-    rows = zip(
-        gates.kind.tolist(), gates.control.tolist(), gates.target.tolist(),
-        gates.angle.tolist(),
-    )
-    for i, row in enumerate(rows):
-        _dense_apply(t, *row, n)
-        if check_norm:
-            norm_sq = float(np.dot(vec, vec))
-            if abs(norm_sq - 1.0) > 1e-10:
-                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[i]}")
+class _DenseEngine:
+    """Run-private copy of a dense amplitude array, one gate per op."""
+
+    def __init__(self, n: int, amplitudes: np.ndarray):
+        self.n = n
+        self.vec = amplitudes.copy()
+
+    def steps(self, gates: GateColumns):
+        """Apply the gates in order; after each, yield its row and the live
+        amplitudes."""
+        t = self.vec.reshape((2,) * self.n)
+        rows = zip(
+            gates.kind.tolist(), gates.control.tolist(), gates.target.tolist(),
+            gates.angle.tolist(),
+        )
+        for i, row in enumerate(rows):
+            _dense_apply(t, *row, self.n)
+            yield i, self.vec
+
+    def amplitudes(self) -> np.ndarray:
+        return self.vec
 
 
 # --- sparse engine --------------------------------------------------------
@@ -261,9 +269,8 @@ def _fusion_plan(gates: GateColumns) -> np.ndarray:
 class _SparseEngine:
     """Run-private scratch: bit matrix (n x capacity) + amplitude vector."""
 
-    def __init__(self, n: int, items: dict, prune: float):
+    def __init__(self, n: int, items: dict):
         self.n = n
-        self.prune = prune
         self.m = len(items)
         cap = max(2 * self.m, 16)
         self.bits = np.zeros((n, cap), dtype=np.uint8)
@@ -288,7 +295,7 @@ class _SparseEngine:
 
     def _compact(self) -> None:
         m = self.m
-        live = np.abs(self.amps[:m]) >= self.prune
+        live = np.abs(self.amps[:m]) >= PRUNE_THRESHOLD
         if live.all():
             return
         k = int(live.sum())
@@ -329,11 +336,11 @@ class _SparseEngine:
             b1 = s * a0 - c * a1
             if i0 >= 0:
                 self.amps[i0] = b0
-            elif abs(b0) >= self.prune:
+            elif abs(b0) >= PRUNE_THRESHOLD:
                 appends.append((i1, 0, b0))
             if i1 >= 0:
                 self.amps[i1] = b1
-            elif abs(b1) >= self.prune:
+            elif abs(b1) >= PRUNE_THRESHOLD:
                 appends.append((i0, 1, b1))
         if appends:
             self._grow(self.m + len(appends))
@@ -345,12 +352,9 @@ class _SparseEngine:
                 self.m = i + 1
         self._compact()
 
-    def norm_squared(self) -> float:
-        a = self.amps[: self.m]
-        return float(np.dot(a, a))
-
-    def run(self, gates: GateColumns, check_norm: bool) -> None:
-        """Apply the gates in order, each fused CNOT run as one op."""
+    def steps(self, gates: GateColumns):
+        """Apply the gates in order, each fused CNOT run as one op; after
+        each op, yield the row of its last gate and the live amplitudes."""
         starts = _fusion_plan(gates)
         ends = [*starts[1:].tolist(), len(gates)]
         rows = zip(
@@ -369,14 +373,9 @@ class _SparseEngine:
                     self.amps[:m][both] *= -1.0
             else:
                 self._mix(control if kind == F_CODE else None, target, angle)
-            if check_norm:
-                norm_sq = self.norm_squared()
-                if abs(norm_sq - 1.0) > 1e-10:
-                    raise RuntimeError(
-                        f"norm drifted to {norm_sq!r} after {gates[end - 1]}"
-                    )
+            yield end - 1, self.amps[: self.m]
 
-    def to_items(self) -> dict[int, float]:
+    def amplitudes(self) -> dict[int, float]:
         m = self.m
         pad = (-self.n) % 8
         packed = np.packbits(self.bits[:, :m], axis=0)
@@ -389,23 +388,38 @@ class _SparseEngine:
 
 # --- public execution API -------------------------------------------------
 
-def check_capacity(
+def resolve_backend(
     n: int,
     backend: str,
     *,
+    auto_threshold: int = AUTO_DENSE_MAX,
     dense_cap: int = DENSE_QUBIT_CAP,
     sparse_cap: int = SPARSE_QUBIT_CAP,
-) -> None:
-    """Raise CapacityError if the "dense" or "sparse" backend cannot run n
-    qubits; cheap, so callers check before building anything."""
-    if backend == "dense":
-        cap = dense_cap
-    elif backend == "sparse":
-        cap = sparse_cap
-    else:
+) -> str:
+    """The backend, "dense" or "sparse", that runs n qubits: "auto" maps
+    through pick_backend, and CapacityError is raised if the backend cannot
+    run n qubits.  Cheap, so callers resolve before building anything."""
+    if backend == "auto":
+        backend = pick_backend(n, auto_threshold)
+    cap = {"dense": dense_cap, "sparse": sparse_cap}.get(backend)
+    if cap is None:
         raise ValueError(f"unknown backend {backend!r}")
     if n > cap:
         raise CapacityError(f"{backend} backend capped at {cap} qubits (got {n})")
+    return backend
+
+
+def _execute(state: QuantumState, gates: GateColumns, check_norm: bool) -> QuantumState:
+    """Run the gates on the state's own backend; with check_norm, fail at
+    the first op after which the norm leaves 1 by more than 1e-10."""
+    engine_type = _DenseEngine if state.backend == "dense" else _SparseEngine
+    engine = engine_type(state.n, state.amplitudes)
+    for last, live in engine.steps(gates):
+        if check_norm:
+            norm_sq = float(np.dot(live, live))
+            if abs(norm_sq - 1.0) > 1e-10:
+                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[last]}")
+    return QuantumState(state.n, engine.amplitudes(), state.backend)
 
 
 def run(
@@ -416,7 +430,6 @@ def run(
     dense_cap: int = DENSE_QUBIT_CAP,
     sparse_cap: int = SPARSE_QUBIT_CAP,
     auto_threshold: int = AUTO_DENSE_MAX,
-    prune: float = PRUNE_THRESHOLD,
     check_norm: bool = False,
 ) -> QuantumState:
     """Apply the circuit's gates in list order to the input state.
@@ -429,32 +442,19 @@ def run(
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n}"
         )
-    n = state.n
-    chosen = backend or state.backend
-    if chosen == "auto":
-        chosen = pick_backend(n, auto_threshold)
-    check_capacity(n, chosen, dense_cap=dense_cap, sparse_cap=sparse_cap)
-    if chosen == "dense":
-        vec = state.to_dense(dense_cap).amplitudes.copy()
-        _run_dense(vec, circuit.gates, n, check_norm)
-        return QuantumState(n, vec, "dense")
-    engine = _SparseEngine(n, dict(state.items()), prune)
-    engine.run(circuit.gates, check_norm)
-    return QuantumState(n, engine.to_items(), "sparse")
+    chosen = resolve_backend(
+        state.n, backend or state.backend, auto_threshold=auto_threshold,
+        dense_cap=dense_cap, sparse_cap=sparse_cap,
+    )
+    state = state.to_dense(dense_cap) if chosen == "dense" else state.to_sparse()
+    return _execute(state, circuit.gates, check_norm)
 
 
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a single gate, staying on the state's backend."""
     if gate.target > state.n or (gate.control is not None and gate.control > state.n):
         raise ValueError(f"gate {gate} exceeds {state.n} qubits")
-    gates = columns_of((gate,))
-    if state.backend == "dense":
-        vec = state.amplitudes.copy()
-        _run_dense(vec, gates, state.n, check_norm=False)
-        return QuantumState(state.n, vec, "dense")
-    engine = _SparseEngine(state.n, state.amplitudes, PRUNE_THRESHOLD)
-    engine.run(gates, check_norm=False)
-    return QuantumState(state.n, engine.to_items(), "sparse")
+    return _execute(state, columns_of((gate,)), check_norm=False)
 
 
 def dump_state(state: QuantumState) -> str:

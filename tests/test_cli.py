@@ -124,6 +124,14 @@ def test_simulate_capacity_exits_3(tmp_path, capsys):
     assert code == 3 and "capped" in err
 
 
+def test_simulate_checks_input_before_capacity(tmp_path, capsys):
+    src = tmp_path / "c.wc"
+    cli(capsys, "synth", "--n", "25", "--out", str(src))
+    code, _, err = cli(
+        capsys, "simulate", "--circuit", str(src), "--input", "VH", "--backend", "dense"
+    )
+    assert code == 2 and err == "error: expected 25 characters, got 2\n"
+
 def test_verify_small(capsys):
     code, out, _ = cli(capsys, "verify", "--n", "3")
     assert code == 0
@@ -300,3 +308,33 @@ def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     code, out, err = cli(capsys, "analyze", "--n", "9000")
     assert code == 3 and out == ""
     assert err == "error: out of memory\n"
+
+
+def _no_sweep_build(n):
+    raise AssertionError(f"build_w_circuit({n}) ran before sweep validated")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("sweep", "--n", "10001"), 3),
+        (("sweep", "--n", "25", "--backend", "dense"), 3),
+        (("sweep", "--n", "5000", "--position", "0"), 2),
+        (("sweep", "--n", "5000", "--deltas", "nan"), 2),
+    ],
+)
+def test_sweep_validates_before_building(monkeypatch, capsys, argv, expected):
+    import wstates.analysis
+
+    monkeypatch.setattr(wstates.analysis, "build_w_circuit", _no_sweep_build)
+    code, out, err = cli(capsys, *argv)
+    assert code == expected and out == ""
+    assert err.startswith("error: ")
+    if expected == 3:
+        assert "backend capped at" in err
+
+
+def test_sweep_rejects_small_n(capsys):
+    code, _, err = cli(capsys, "sweep", "--n", "1")
+    assert code == 2
+    assert err == "error: unsupported size: need n >= 3, got 1\n"

@@ -306,3 +306,40 @@ def test_backend_equivalence_on_random_circuits(drawn):
     diff = np.abs(dense.amplitudes - sparse.to_dense().amplitudes)
     assert float(diff.max()) < 1e-12
     assert abs(sparse.norm_squared() - 1) < 1e-10
+
+
+# 5e-10 over 1: inside the constructor's 1e-9 guard, outside the run's 1e-10
+# per-op check, so the first op of any checked run reports the drift.
+def _drifted(n, index):
+    from wstates import QuantumState
+
+    return QuantumState(n, {index: math.sqrt(1 + 5e-10)}, "sparse")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_check_norm_reports_drift(backend):
+    circuit = Circuit(2, (ROT(1, 0.3), ROT(2, 0.4)), Level.ELEMENTARY)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^norm drifted to 1\.0000000005 after Gate\(kind='ROT', target=1, ",
+    ):
+        run(circuit, _drifted(2, 0), backend=backend, check_norm=True)
+    # unchecked, the same run goes through
+    assert run(circuit, _drifted(2, 0), backend=backend).n == 2
+
+
+@pytest.mark.parametrize("backend,control", [("dense", 2), ("sparse", 3)])
+def test_check_norm_names_the_last_gate_of_an_op(backend, control):
+    # The sparse engine runs CNOT(2,1), CNOT(3,1) as one fused op and checks
+    # after it; the dense engine checks after each gate.
+    circuit = Circuit(3, (CNOT(2, 1), CNOT(3, 1), ROT(1, 0.2)), Level.ELEMENTARY)
+    with pytest.raises(
+        RuntimeError, match=rf"after Gate\(kind='CNOT', target=1, control={control},"
+    ):
+        run(circuit, _drifted(3, 4), backend=backend, check_norm=True)
+
+
+def test_sparse_basis_state_has_no_run_cap():
+    # A storage constructor: only run() applies the backend caps.
+    state = basis_state(10001, "V" + "H" * 10000, backend="sparse")
+    assert state.support_size() == 1 and state.amplitude(1 << 10000) == 1.0
