@@ -167,6 +167,8 @@ def basis_state(
     state = QuantumState(n, {encode_bits(bits): 1.0}, "sparse")
     if backend == "auto":
         backend = pick_backend(n)
+    if backend not in ("dense", "sparse"):
+        raise ValueError(f"unknown backend {backend!r}")
     return state.to_dense(dense_cap) if backend == "dense" else state
 
 

@@ -310,6 +310,21 @@ def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
+def test_analyze_reports_without_building(monkeypatch, capsys):
+    import wstates.analysis
+
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("analyze built or lowered a circuit")
+
+    monkeypatch.setattr(wstates.analysis, "build_w_circuit", no_circuit)
+    monkeypatch.setattr(wstates.analysis, "lower", no_circuit)
+    code, out, _ = cli(capsys, "analyze", "--n", "9000", "--gamma", "0.1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"] == {"total": 40504498, "f": 8999, "cnot": 40495499}
+    assert report["elementary_cnots"] == 40504498
+
+
 def _no_sweep_build(n):
     raise AssertionError(f"build_w_circuit({n}) ran before sweep validated")
 

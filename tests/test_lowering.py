@@ -77,7 +77,7 @@ def test_lower_n5_cnot_count():
     assert counts["CNOT"] == 13
 
 
-@pytest.mark.parametrize("n", [3, 6, 17, 64, 200])
+@pytest.mark.parametrize("n", [*range(3, 101), 137, 200, 800])
 def test_elementary_counts_match_closed_form(n):
     counts = lower(build_w_circuit(n), Level.ELEMENTARY).gate_counts()
     assert counts["CNOT"] == (n * (n + 1) - 4) // 2

@@ -343,3 +343,9 @@ def test_sparse_basis_state_has_no_run_cap():
     # A storage constructor: only run() applies the backend caps.
     state = basis_state(10001, "V" + "H" * 10000, backend="sparse")
     assert state.support_size() == 1 and state.amplitude(1 << 10000) == 1.0
+
+
+@pytest.mark.parametrize("backend", ["dnese", "Sparse", ""])
+def test_basis_state_rejects_unknown_backend(backend):
+    with pytest.raises(ValueError, match=rf"unknown backend {backend!r}"):
+        basis_state(3, "VHH", backend=backend)
