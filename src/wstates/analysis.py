@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .gates import F_CODE, Circuit, GateColumns
 from .lowering import lower  # unused here; wbench/tracer.py wraps analysis.lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
-from .synthesis import CountPrediction, build_w_circuit, predicted_counts
+from .synthesis import CountPrediction, _coupler_alpha, build_w_circuit, predicted_counts
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
 DEFAULT_EXTRA_PAIR_RATE = 1e-4
@@ -89,10 +89,7 @@ def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
     """First-plate angle arccos(1/sqrt(n))/4 in degrees for n = 3..n_max."""
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
-    return [
-        (n, math.degrees(math.acos(1.0 / math.sqrt(n)) / 4.0))
-        for n in range(3, n_max + 1)
-    ]
+    return [(n, math.degrees(_coupler_alpha(n, 1) / 4.0)) for n in range(3, n_max + 1)]
 
 
 def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:

@@ -42,7 +42,6 @@ from .errors import CapacityError
 GATE_KINDS = ("F", "CNOT", "CZ", "ROT")
 F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE = range(len(GATE_KINDS))
 KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
-TWO_QUBIT_KINDS = frozenset({"F", "CNOT", "CZ"})
 ANGLED_KINDS = frozenset({"F", "ROT"})
 
 UNITARY_QUBIT_CAP = 10
@@ -332,16 +331,16 @@ def _embed(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     return full
 
 
-def unitary_of(circuit: Circuit, max_qubits: int = UNITARY_QUBIT_CAP) -> np.ndarray:
+def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full 2**n x 2**n matrix of the circuit, first gate rightmost.
 
     Brute-force product of embedded gate matrices; kept independent of the
     simulator backends so the two can cross-check each other.
     """
     n = circuit.n_qubits
-    if n > max_qubits:
+    if n > UNITARY_QUBIT_CAP:
         raise CapacityError(
-            f"unitary oracle capped at {max_qubits} qubits (got {n})"
+            f"unitary oracle capped at {UNITARY_QUBIT_CAP} qubits (got {n})"
         )
     u = np.eye(1 << n)
     for g in circuit.gates:

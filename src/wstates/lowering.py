@@ -2,10 +2,10 @@
 
 Levels descend COMPOSITE -> CZ_LEVEL -> ELEMENTARY.  Each pass rewrites
 gates in place, preserving order, by one repeat-and-fill over the gate
-columns; lower_f and lower_cz state the same rules for a single Gate.
-Adjacent ROTs are deliberately not merged, so a fully lowered F gate keeps
-the 4-plates-plus-CNOT structure [ROT, ROT, CNOT, ROT, ROT] on its target
-wire.
+columns.  lower() holds the only copy of each rule; lower_f and lower_cz
+run it on a one-gate circuit.  Adjacent ROTs are deliberately not merged,
+so a fully lowered F gate keeps the 4-plates-plus-CNOT structure
+[ROT, ROT, CNOT, ROT, ROT] on its target wire.
 """
 from __future__ import annotations
 
@@ -13,19 +13,7 @@ import math
 
 import numpy as np
 
-from .gates import (
-    CNOT,
-    CNOT_CODE,
-    CZ,
-    CZ_CODE,
-    F_CODE,
-    ROT,
-    ROT_CODE,
-    Circuit,
-    Gate,
-    GateColumns,
-    Level,
-)
+from .gates import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Circuit, Gate, GateColumns, Level
 
 
 def lower_f(g: Gate) -> list[Gate]:
@@ -33,16 +21,14 @@ def lower_f(g: Gate) -> list[Gate]:
     R(b) Z R(b) = R(2b) on the control=1 block and R(b)**2 = I elsewhere."""
     if g.kind != "F":
         raise TypeError(f"lower_f expects an F gate, got {g.kind}")
-    half = g.angle / 2.0
-    return [ROT(g.target, half), CZ(g.control, g.target), ROT(g.target, half)]
+    return list(lower(Circuit(max(g.qubits), (g,), Level.COMPOSITE), Level.CZ_LEVEL).gates)
 
 
 def lower_cz(g: Gate) -> list[Gate]:
     """CZ(c,t) = ROT(t,pi/4) CNOT(c,t) ROT(t,pi/4), i.e. H X H = Z."""
     if g.kind != "CZ":
         raise TypeError(f"lower_cz expects a CZ gate, got {g.kind}")
-    quarter = math.pi / 4
-    return [ROT(g.target, quarter), CNOT(g.control, g.target), ROT(g.target, quarter)]
+    return list(lower(Circuit(max(g.qubits), (g,), Level.CZ_LEVEL), Level.ELEMENTARY).gates)
 
 
 def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) -> Circuit:
@@ -75,7 +61,6 @@ def lower(circuit: Circuit, target: Level) -> Circuit:
         )
     result = circuit
     if result.level == Level.COMPOSITE and target < Level.COMPOSITE:
-        # Same bits as lower_f: float64 halving is exact in numpy too.
         result = _rewrite(result, F_CODE, CZ_CODE, lambda a: a / 2.0, Level.CZ_LEVEL)
     if result.level == Level.CZ_LEVEL and target < Level.CZ_LEVEL:
         result = _rewrite(

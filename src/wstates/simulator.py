@@ -16,17 +16,19 @@ running, the sparse engine plans maximal runs of consecutive CNOTs that
 share a target (the fan-in layers that make up almost all of the W
 network) and applies each run as a single XOR-reduce of its control rows
 into the target row, which gives the same bits as one CNOT at a time.
-States are converted back to plain index->amplitude mappings at API
-boundaries; amplitudes below PRUNE_THRESHOLD are dropped after each
-mixing gate (with this circuit family that only ever removes
-numerically-zero residue).
+States are converted to and from plain index->amplitude mappings at API
+boundaries, all keys in one unpackbits or packbits call; amplitudes below
+PRUNE_THRESHOLD are dropped after each mixing gate (with this circuit
+family that only ever removes numerically-zero residue).
 
 There is one execution path.  resolve_backend is the only place that maps
-"auto" to a backend and checks the run cap.  run converts the input to
-that backend's storage and, like apply_gate, hands it to _execute, which
-steps the matching engine one op at a time (a gate on the dense engine, a
-gate or fused CNOT run on the sparse one) and, with check_norm, checks the
-norm after each op.
+"auto" to a backend and the only cap check: the caps are the constants
+DENSE_QUBIT_CAP and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its
+dense storage through it too.  run converts the input to that backend's
+storage and, like apply_gate, hands it to _execute, which steps the
+matching engine one op at a time (a gate on the dense engine, a gate or
+fused CNOT run on the sparse one) and, with check_norm, checks the norm
+after each op.
 """
 from __future__ import annotations
 
@@ -108,7 +110,8 @@ class QuantumState:
             object.__setattr__(self, "amplitudes", items)
         else:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if abs(self.norm_squared() - 1.0) > _NORM_GUARD:
+        # Written so that a NaN norm fails the check too.
+        if not abs(self.norm_squared() - 1.0) <= _NORM_GUARD:
             raise ValueError("state is not normalized")
 
     def __repr__(self):
@@ -140,13 +143,10 @@ class QuantumState:
             return float(np.dot(self.amplitudes, self.amplitudes))
         return math.fsum(v * v for v in self.amplitudes.values())
 
-    def to_dense(self, dense_cap: int = DENSE_QUBIT_CAP) -> "QuantumState":
+    def to_dense(self) -> "QuantumState":
         if self.backend == "dense":
             return self
-        if self.n > dense_cap:
-            raise CapacityError(
-                f"dense storage capped at {dense_cap} qubits (got {self.n})"
-            )
+        resolve_backend(self.n, "dense")
         vec = np.zeros(1 << self.n)
         for k, v in self.amplitudes.items():
             vec[k] = v
@@ -158,9 +158,7 @@ class QuantumState:
         return QuantumState(self.n, dict(self.items()), "sparse")
 
 
-def basis_state(
-    n: int, bits: str, backend: str = "auto", dense_cap: int = DENSE_QUBIT_CAP
-) -> QuantumState:
+def basis_state(n: int, bits: str, backend: str = "auto") -> QuantumState:
     """Computational basis state |bits>, e.g. basis_state(3, "VHH")."""
     if len(bits) != n:
         raise ValueError(f"expected {n} characters, got {len(bits)}")
@@ -169,7 +167,7 @@ def basis_state(
         backend = pick_backend(n)
     if backend not in ("dense", "sparse"):
         raise ValueError(f"unknown backend {backend!r}")
-    return state.to_dense(dense_cap) if backend == "dense" else state
+    return state.to_dense() if backend == "dense" else state
 
 
 def w_reference(n: int) -> QuantumState:
@@ -278,11 +276,10 @@ class _SparseEngine:
         self.bits = np.zeros((n, cap), dtype=np.uint8)
         self.amps = np.zeros(cap)
         width = (n + 7) // 8
-        pad = 8 * width - n
-        for i, (key, val) in enumerate(items.items()):
-            raw = np.frombuffer(int(key).to_bytes(width, "big"), dtype=np.uint8)
-            self.bits[:, i] = np.unpackbits(raw)[pad:]
-            self.amps[i] = val
+        raw = b"".join(int(key).to_bytes(width, "big") for key in items)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.m, width)
+        self.bits[:, : self.m] = np.unpackbits(rows, axis=1)[:, 8 * width - n :].T
+        self.amps[: self.m] = np.fromiter(items.values(), np.float64, self.m)
 
     def _grow(self, needed: int) -> None:
         cap = self.amps.shape[0]
@@ -379,31 +376,27 @@ class _SparseEngine:
 
     def amplitudes(self) -> dict[int, float]:
         m = self.m
-        pad = (-self.n) % 8
-        packed = np.packbits(self.bits[:, :m], axis=0)
-        out = {}
-        for i in range(m):
-            key = int.from_bytes(packed[:, i].tobytes(), "big") >> pad
-            out[key] = float(self.amps[i])
-        return out
+        width = (self.n + 7) // 8
+        pad = 8 * width - self.n
+        # Row i of the transposed bits packs to key i: bytes
+        # [i * width, (i + 1) * width) of one buffer.  Packing a contiguous
+        # copy is several times faster than packing the strided view.
+        packed = np.packbits(np.ascontiguousarray(self.bits[:, :m].T), axis=1).tobytes()
+        return {
+            int.from_bytes(packed[i * width : (i + 1) * width], "big") >> pad: amp
+            for i, amp in enumerate(self.amps[:m].tolist())
+        }
 
 
 # --- public execution API -------------------------------------------------
 
-def resolve_backend(
-    n: int,
-    backend: str,
-    *,
-    auto_threshold: int = AUTO_DENSE_MAX,
-    dense_cap: int = DENSE_QUBIT_CAP,
-    sparse_cap: int = SPARSE_QUBIT_CAP,
-) -> str:
+def resolve_backend(n: int, backend: str, *, auto_threshold: int = AUTO_DENSE_MAX) -> str:
     """The backend, "dense" or "sparse", that runs n qubits: "auto" maps
     through pick_backend, and CapacityError is raised if the backend cannot
     run n qubits.  Cheap, so callers resolve before building anything."""
     if backend == "auto":
         backend = pick_backend(n, auto_threshold)
-    cap = {"dense": dense_cap, "sparse": sparse_cap}.get(backend)
+    cap = {"dense": DENSE_QUBIT_CAP, "sparse": SPARSE_QUBIT_CAP}.get(backend)
     if cap is None:
         raise ValueError(f"unknown backend {backend!r}")
     if n > cap:
@@ -429,8 +422,6 @@ def run(
     state: QuantumState,
     *,
     backend: str | None = None,
-    dense_cap: int = DENSE_QUBIT_CAP,
-    sparse_cap: int = SPARSE_QUBIT_CAP,
     auto_threshold: int = AUTO_DENSE_MAX,
     check_norm: bool = False,
 ) -> QuantumState:
@@ -445,10 +436,9 @@ def run(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n}"
         )
     chosen = resolve_backend(
-        state.n, backend or state.backend, auto_threshold=auto_threshold,
-        dense_cap=dense_cap, sparse_cap=sparse_cap,
+        state.n, backend or state.backend, auto_threshold=auto_threshold
     )
-    state = state.to_dense(dense_cap) if chosen == "dense" else state.to_sparse()
+    state = state.to_dense() if chosen == "dense" else state.to_sparse()
     return _execute(state, circuit.gates, check_norm)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from wstates import (
     PdcModel,
     SensitivityRecord,
+    angle_schedule,
     angle_sensitivity,
     gate_growth_table,
     pdc_rates,
@@ -111,6 +112,11 @@ def test_plate_angles_increase_toward_22_5():
     angles = [deg for _, deg in table]
     assert all(a < b for a, b in zip(angles, angles[1:]))
     assert angles[-1] < 22.5
+
+
+def test_plate_angle_table_is_the_first_coupler_of_the_schedule():
+    for n, deg in plate_angle_table(500):
+        assert deg == math.degrees(angle_schedule(n).entries[0].plate_angle)
 
 
 def test_plate_angle_table_validation():

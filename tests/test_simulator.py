@@ -217,14 +217,14 @@ def test_runs_are_deterministic():
 def test_dense_capacity_enforced():
     with pytest.raises(CapacityError):
         run(build_w_circuit(26), _input(26, "sparse"), backend="dense")
-    with pytest.raises(CapacityError):
-        run(build_w_circuit(5), _input(5, "sparse"), backend="dense", dense_cap=4)
-    with pytest.raises(CapacityError):
-        run(build_w_circuit(5), _input(5, "sparse"), backend="sparse", sparse_cap=4)
-    # the guard fires before any 2**n allocation is attempted
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"sparse backend capped at 10000 qubits"):
+        run(Circuit(10001, (), Level.COMPOSITE), _input(10001, "sparse"), backend="sparse")
+    # the guard fires before any 2**n allocation is attempted, with the one
+    # message resolve_backend gives
+    message = r"^dense backend capped at 24 qubits \(got 40\)$"
+    with pytest.raises(CapacityError, match=message):
         basis_state(40, "H" * 40, backend="dense")
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=message):
         _input(40, "sparse").to_dense()
 
 
@@ -349,3 +349,26 @@ def test_sparse_basis_state_has_no_run_cap():
 def test_basis_state_rejects_unknown_backend(backend):
     with pytest.raises(ValueError, match=rf"unknown backend {backend!r}"):
         basis_state(3, "VHH", backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_nan_amplitudes_fail_the_norm_check(backend):
+    from wstates import QuantumState
+
+    amplitudes = {1: math.nan} if backend == "sparse" else [0.0, math.nan, 0.0, 0.0]
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(2, amplitudes, backend)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 300])
+def test_sparse_engine_round_trips_keys_in_order(n):
+    # Keys go in and out of the engine's bit matrix in bulk; neither the
+    # bits of a key nor the order of the entries may change.
+    from wstates.simulator import _SparseEngine
+
+    rng = np.random.default_rng(n)
+    width = (n + 7) // 8
+    drawn = [int.from_bytes(rng.bytes(width), "big") >> (8 * width - n) for _ in range(40)]
+    keys = dict.fromkeys([(1 << n) - 1, *drawn, 0])
+    items = {k: float(i + 1) for i, k in enumerate(keys)}
+    assert list(_SparseEngine(n, items).amplitudes().items()) == list(items.items())
