@@ -25,6 +25,7 @@ from .errors import CapacityError, CircuitParseError
 from .gates import Level
 from .lowering import lower
 from .simulator import (
+    AUTO_DENSE_MAX,
     basis_state,
     dump_state,
     fidelity,
@@ -156,7 +157,7 @@ def _add_backend_flags(sub) -> None:
     sub.add_argument(
         "--auto-threshold",
         type=int,
-        default=20,
+        default=AUTO_DENSE_MAX,
         metavar="N",
         help="largest n the auto backend still simulates densely",
     )

@@ -7,32 +7,29 @@ exceeds n simultaneous nonzeros, so sparse runs scale to thousands of
 qubits.  Amplitudes are real by construction (every gate matrix is real),
 so no complex storage exists anywhere.
 
-Both engines read the circuit's gate columns (see gates.py), never Gate
-objects.  The dense engine applies one gate per step.  During a sparse run
-the engine keeps a private scratch: a (n_qubits x support) bit matrix plus
-an amplitude vector.  A CNOT is then one row XOR, a CZ one masked sign
-flip, and only the mixing gates (ROT, F) need pair matching.  Before
-running, the sparse engine plans maximal runs of consecutive CNOTs that
-share a target (the fan-in layers that make up almost all of the W
-network) and applies each run as a single XOR-reduce of its control rows
-into the target row, which gives the same bits as one CNOT at a time.
-States are converted to and from plain index->amplitude mappings at API
-boundaries, all keys in one unpackbits or packbits call; amplitudes below
-PRUNE_THRESHOLD are dropped after each mixing gate (with this circuit
-family that only ever removes numerically-zero residue).
-
 There is one execution path.  resolve_backend is the only place that maps
 "auto" to a backend and the only cap check: the caps are the constants
 DENSE_QUBIT_CAP and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its
 dense storage through it too.  run converts the input to that backend's
-storage and, like apply_gate, hands it to _execute, which steps the
-matching engine one op at a time (a gate on the dense engine, a gate or
-fused CNOT run on the sparse one) and, with check_norm, checks the norm
-after each op.
+storage and, like apply_gate, hands it to _execute.  _execute reads the
+gate columns (see gates.py) and plans the ops once with _fusion_plan: each
+fan-in layer, a maximal run of consecutive CNOTs that share a target, is
+one op, every other gate its own.  Its loop is the only op loop and the
+only branch on gate kind; with check_norm it checks the norm after each
+op.  An engine only says how to apply an op, through cnots(controls,
+target), cz(control, target) and mix(control or None, target, angle).  The
+dense engine swaps one control at a time in gate order.  The sparse engine
+keeps a (n_qubits x support) bit matrix and an amplitude vector: a CNOT
+run is one XOR-reduce of its control rows into the target row (the same
+bits as one CNOT at a time), a CZ one masked sign flip, and only mix needs
+pair matching.  It converts all keys in one unpackbits or packbits call at
+its boundary and drops amplitudes below PRUNE_THRESHOLD after each mix
+(with this circuit family that only ever removes numerically-zero residue).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +90,8 @@ class QuantumState:
 
     def __post_init__(self):
         if self.backend == "dense":
+            if np.iscomplexobj(self.amplitudes):
+                raise ValueError("amplitudes must be real")
             arr = np.ascontiguousarray(self.amplitudes, dtype=np.float64)
             if arr.shape != (1 << self.n,):
                 raise ValueError("dense amplitude array has wrong length")
@@ -102,7 +101,12 @@ class QuantumState:
             bound = 1 << self.n
             items = {}
             for k, v in self.amplitudes.items():
-                k = int(k)
+                try:
+                    k = operator.index(k)
+                except TypeError:
+                    raise ValueError(f"basis index {k!r} is not an integer") from None
+                if isinstance(v, (complex, np.complexfloating)):
+                    raise ValueError("amplitudes must be real")
                 if not 0 <= k < bound:
                     raise ValueError(f"basis index {k} does not fit {self.n} qubits")
                 if v != 0.0:
@@ -194,76 +198,51 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return overlap * overlap
 
 
-# --- dense engine ---------------------------------------------------------
+# --- engines: cnots, cz, mix, live, amplitudes ----------------------------
 
-def _ix(n: int, fixes: tuple[tuple[int, int], ...]):
+def _ix(n: int, target: int, bit: int, control: int | None = None):
+    """Index of the target=bit half of an n-axis tensor, or its control=1 quarter."""
     idx: list = [slice(None)] * n
-    for qubit, bit in fixes:
-        idx[qubit - 1] = bit
+    if control is not None:
+        idx[control - 1] = 1
+    idx[target - 1] = bit
     return tuple(idx)
 
 
-def _dense_apply(
-    t: np.ndarray, kind: int, control: int, target: int, angle: float, n: int
-) -> None:
-    if kind == CNOT_CODE:
-        i10 = _ix(n, ((control, 1), (target, 0)))
-        i11 = _ix(n, ((control, 1), (target, 1)))
-        tmp = t[i10].copy()
-        t[i10] = t[i11]
-        t[i11] = tmp
-    elif kind == CZ_CODE:
-        t[_ix(n, ((control, 1), (target, 1)))] *= -1.0
-    else:  # ROT or F: mix the target-bit pair, F only in the control=1 sector
-        if kind == F_CODE:
-            i0 = _ix(n, ((control, 1), (target, 0)))
-            i1 = _ix(n, ((control, 1), (target, 1)))
-        else:
-            i0 = _ix(n, ((target, 0),))
-            i1 = _ix(n, ((target, 1),))
-        c, s = math.cos(angle), math.sin(angle)
-        a0 = t[i0].copy()
-        t[i0] = c * a0 + s * t[i1]
-        t[i1] = s * a0 - c * t[i1]
-
-
 class _DenseEngine:
-    """Run-private copy of a dense amplitude array, one gate per op."""
+    """Run-private copy of a dense amplitude array, viewed as n axes."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         self.n = n
         self.vec = amplitudes.copy()
+        self.t = self.vec.reshape((2,) * n)
 
-    def steps(self, gates: GateColumns):
-        """Apply the gates in order; after each, yield its row and the live
-        amplitudes."""
-        t = self.vec.reshape((2,) * self.n)
-        rows = zip(
-            gates.kind.tolist(), gates.control.tolist(), gates.target.tolist(),
-            gates.angle.tolist(),
-        )
-        for i, row in enumerate(rows):
-            _dense_apply(t, *row, self.n)
-            yield i, self.vec
+    def cnots(self, controls: np.ndarray, target: int) -> None:
+        t = self.t
+        for control in controls.tolist():
+            i10 = _ix(self.n, target, 0, control)
+            i11 = _ix(self.n, target, 1, control)
+            tmp = t[i10].copy()
+            t[i10] = t[i11]
+            t[i11] = tmp
+
+    def cz(self, control: int, target: int) -> None:
+        self.t[_ix(self.n, target, 1, control)] *= -1.0
+
+    def mix(self, control: int | None, target: int, alpha: float) -> None:
+        t = self.t
+        i0 = _ix(self.n, target, 0, control)
+        i1 = _ix(self.n, target, 1, control)
+        c, s = math.cos(alpha), math.sin(alpha)
+        a0 = t[i0].copy()
+        t[i0] = c * a0 + s * t[i1]
+        t[i1] = s * a0 - c * t[i1]
+
+    def live(self) -> np.ndarray:
+        return self.vec
 
     def amplitudes(self) -> np.ndarray:
         return self.vec
-
-
-# --- sparse engine --------------------------------------------------------
-
-def _fusion_plan(gates: GateColumns) -> np.ndarray:
-    """First row of each op: a maximal run of consecutive CNOTs that share a
-    target is one op, every other gate is its own op.
-
-    A run can be applied as one XOR of its control rows into the target row,
-    exactly: no control of the run is its target, so no CNOT of the run
-    changes a control row, the CNOTs commute, and XOR is exact.
-    """
-    cnot = gates.kind == CNOT_CODE
-    joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])
-    # The slice drops the one start an empty circuit would otherwise get.
-    return np.flatnonzero(np.concatenate(([True], ~joins)))[: len(gates)]
 
 
 class _SparseEngine:
@@ -302,7 +281,18 @@ class _SparseEngine:
         self.amps[:k] = self.amps[:m][live]
         self.m = k
 
-    def _mix(self, control: int | None, target: int, alpha: float) -> None:
+    def cnots(self, controls: np.ndarray, target: int) -> None:
+        """One XOR-reduce of the control rows into the target row."""
+        m = self.m
+        fan_in = self.bits[controls - 1, :m]
+        self.bits[target - 1, :m] ^= np.bitwise_xor.reduce(fan_in, axis=0)
+
+    def cz(self, control: int, target: int) -> None:
+        m = self.m
+        both = (self.bits[control - 1, :m] & self.bits[target - 1, :m]) != 0
+        self.amps[:m][both] *= -1.0
+
+    def mix(self, control: int | None, target: int, alpha: float) -> None:
         m = self.m
         if control is None:
             idxs = np.arange(m)
@@ -341,38 +331,17 @@ class _SparseEngine:
                 self.amps[i1] = b1
             elif abs(b1) >= PRUNE_THRESHOLD:
                 appends.append((i0, 1, b1))
-        if appends:
-            self._grow(self.m + len(appends))
-            for src, tbit, amp in appends:
-                i = self.m
-                self.bits[:, i] = self.bits[:, src]
-                self.bits[target - 1, i] = tbit
-                self.amps[i] = amp
-                self.m = i + 1
+        self._grow(self.m + len(appends))
+        for src, tbit, amp in appends:
+            i = self.m
+            self.bits[:, i] = self.bits[:, src]
+            self.bits[target - 1, i] = tbit
+            self.amps[i] = amp
+            self.m = i + 1
         self._compact()
 
-    def steps(self, gates: GateColumns):
-        """Apply the gates in order, each fused CNOT run as one op; after
-        each op, yield the row of its last gate and the live amplitudes."""
-        starts = _fusion_plan(gates)
-        ends = [*starts[1:].tolist(), len(gates)]
-        rows = zip(
-            starts.tolist(), ends, gates.kind[starts].tolist(),
-            gates.control[starts].tolist(), gates.target[starts].tolist(),
-            gates.angle[starts].tolist(),
-        )
-        for start, end, kind, control, target, angle in rows:
-            m = self.m
-            if kind == CNOT_CODE:
-                fan_in = self.bits[gates.control[start:end] - 1, :m]
-                self.bits[target - 1, :m] ^= np.bitwise_xor.reduce(fan_in, axis=0)
-            elif kind == CZ_CODE:
-                both = (self.bits[control - 1, :m] & self.bits[target - 1, :m]) != 0
-                if both.any():
-                    self.amps[:m][both] *= -1.0
-            else:
-                self._mix(control if kind == F_CODE else None, target, angle)
-            yield end - 1, self.amps[: self.m]
+    def live(self) -> np.ndarray:
+        return self.amps[: self.m]
 
     def amplitudes(self) -> dict[int, float]:
         m = self.m
@@ -404,16 +373,45 @@ def resolve_backend(n: int, backend: str, *, auto_threshold: int = AUTO_DENSE_MA
     return backend
 
 
+def _fusion_plan(gates: GateColumns) -> np.ndarray:
+    """First row of each op: a maximal run of consecutive CNOTs that share a
+    target is one op, every other gate is its own op.
+
+    A run can be applied as one op, exactly: no control of the run is its
+    target, so no CNOT of the run changes a control, and the CNOTs commute
+    (the sparse engine's XOR of the control rows is exact too).
+    """
+    cnot = gates.kind == CNOT_CODE
+    joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])
+    # The slice drops the one start an empty circuit would otherwise get.
+    return np.flatnonzero(np.concatenate(([True], ~joins)))[: len(gates)]
+
+
 def _execute(state: QuantumState, gates: GateColumns, check_norm: bool) -> QuantumState:
-    """Run the gates on the state's own backend; with check_norm, fail at
-    the first op after which the norm leaves 1 by more than 1e-10."""
+    """Run the gates on the state's own backend, one op of the fusion plan
+    at a time; with check_norm, fail at the first op after which the norm
+    leaves 1 by more than 1e-10, naming the op's last gate."""
     engine_type = _DenseEngine if state.backend == "dense" else _SparseEngine
     engine = engine_type(state.n, state.amplitudes)
-    for last, live in engine.steps(gates):
+    starts = _fusion_plan(gates)
+    ends = [*starts[1:].tolist(), len(gates)]
+    rows = zip(
+        starts.tolist(), ends, gates.kind[starts].tolist(),
+        gates.control[starts].tolist(), gates.target[starts].tolist(),
+        gates.angle[starts].tolist(),
+    )
+    for start, end, kind, control, target, angle in rows:
+        if kind == CNOT_CODE:
+            engine.cnots(gates.control[start:end], target)
+        elif kind == CZ_CODE:
+            engine.cz(control, target)
+        else:
+            engine.mix(control if kind == F_CODE else None, target, angle)
         if check_norm:
+            live = engine.live()
             norm_sq = float(np.dot(live, live))
             if abs(norm_sq - 1.0) > 1e-10:
-                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[last]}")
+                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[end - 1]}")
     return QuantumState(state.n, engine.amplitudes(), state.backend)
 
 

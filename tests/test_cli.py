@@ -8,7 +8,8 @@ import time
 import pytest
 
 from wstates import parse_circuit
-from wstates.cli import main
+from wstates.cli import build_parser, main
+from wstates.simulator import AUTO_DENSE_MAX
 
 EMPTY_2Q = "wcircuit 1\nqubits 2\n"
 
@@ -353,3 +354,10 @@ def test_sweep_rejects_small_n(capsys):
     code, _, err = cli(capsys, "sweep", "--n", "1")
     assert code == 2
     assert err == "error: unsupported size: need n >= 3, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "5"], ["simulate", "--circuit", "c.txt", "--input", "VHH"]]
+)
+def test_auto_threshold_defaults_to_the_simulator_constant(argv):
+    assert build_parser().parse_args(argv).auto_threshold == AUTO_DENSE_MAX

@@ -1,7 +1,8 @@
 """Three independent simulators on random circuits: dense, sparse, unitary_of.
 
-The circuits mix single gates with runs of CNOTs onto one target, which the
-sparse engine fuses into one XOR-reduce, so both its paths are exercised.
+The circuits mix single gates with runs of CNOTs onto one target, which
+both engines apply as one fused op, so every engine method is exercised:
+cnots, cz (at the CZ level) and mix.
 """
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wstates import (
     CNOT,
+    CZ,
     Circuit,
     F,
     Level,
@@ -41,6 +43,11 @@ def _circuits(level):
     def for_size(n):
         if level == Level.COMPOSITE:
             single = st.builds(lambda p, a: F(p[0], p[1], a), _wire_pair(n), ANGLES)
+        elif level == Level.CZ_LEVEL:
+            single = st.one_of(
+                st.builds(ROT, st.integers(1, n), ANGLES),
+                _wire_pair(n).map(lambda p: CZ(*p)),
+            )
         else:
             single = st.builds(ROT, st.integers(1, n), ANGLES)
         blocks = st.lists(st.one_of(single.map(lambda g: [g]), _cnot_run(n)), max_size=8)
@@ -61,10 +68,13 @@ def _check_three_ways(circuit, bits):
     assert float(np.abs(dense.amplitudes - column).max()) < 1e-12
     assert float(np.abs(sparse.to_dense().amplitudes - column).max()) < 1e-12
     # Fused CNOT runs give the same bits as applying one gate at a time.
-    stepwise = basis_state(n, bits, backend="sparse")
+    dense_steps = basis_state(n, bits, backend="dense")
+    sparse_steps = basis_state(n, bits, backend="sparse")
     for g in circuit.gates:
-        stepwise = apply_gate(stepwise, g)
-    assert sparse.amplitudes == stepwise.amplitudes
+        dense_steps = apply_gate(dense_steps, g)
+        sparse_steps = apply_gate(sparse_steps, g)
+    assert np.array_equal(dense.amplitudes, dense_steps.amplitudes)
+    assert sparse.amplitudes == sparse_steps.amplitudes
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,6 +82,13 @@ def _check_three_ways(circuit, bits):
 def test_composite_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.COMPOSITE), bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuits(Level.CZ_LEVEL))
+def test_cz_level_circuits_agree_three_ways(drawn):
+    n, gates, bits = drawn
+    _check_three_ways(Circuit(n, gates, Level.CZ_LEVEL), bits)
 
 
 @settings(max_examples=80, deadline=None)

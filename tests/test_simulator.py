@@ -61,6 +61,31 @@ def test_sparse_state_rejects_out_of_range_keys():
         QuantumState(2, {-1: 1.0}, "sparse")
 
 
+@pytest.mark.parametrize("key", [1.5, "1"])
+def test_sparse_state_rejects_keys_that_are_not_integers(key):
+    from wstates import QuantumState
+
+    with pytest.raises(ValueError, match=rf"basis index {key!r} is not an integer"):
+        QuantumState(2, {key: 1.0}, "sparse")
+
+
+def test_sparse_state_accepts_numpy_integer_keys():
+    from wstates import QuantumState
+
+    state = QuantumState(2, {np.int64(1): 1.0}, "sparse")
+    assert state.amplitudes == {1: 1.0}
+    assert type(next(iter(state.amplitudes))) is int
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_complex_amplitudes_are_rejected(backend):
+    from wstates import QuantumState
+
+    amplitudes = {0: 1 + 0.5j} if backend == "sparse" else np.array([1 + 0.5j, 0, 0, 0])
+    with pytest.raises(ValueError, match="^amplitudes must be real$"):
+        QuantumState(2, amplitudes, backend)
+
+
 def test_w_reference_amplitudes():
     ref3 = w_reference(3)
     assert set(ref3.amplitudes) == {4, 2, 1}
@@ -328,13 +353,13 @@ def test_check_norm_reports_drift(backend):
     assert run(circuit, _drifted(2, 0), backend=backend).n == 2
 
 
-@pytest.mark.parametrize("backend,control", [("dense", 2), ("sparse", 3)])
-def test_check_norm_names_the_last_gate_of_an_op(backend, control):
-    # The sparse engine runs CNOT(2,1), CNOT(3,1) as one fused op and checks
-    # after it; the dense engine checks after each gate.
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_check_norm_names_the_last_gate_of_an_op(backend):
+    # Both engines run CNOT(2,1), CNOT(3,1) as one fused op and check the
+    # norm after it, so the report names its last gate.
     circuit = Circuit(3, (CNOT(2, 1), CNOT(3, 1), ROT(1, 0.2)), Level.ELEMENTARY)
     with pytest.raises(
-        RuntimeError, match=rf"after Gate\(kind='CNOT', target=1, control={control},"
+        RuntimeError, match=r"after Gate\(kind='CNOT', target=1, control=3,"
     ):
         run(circuit, _drifted(3, 4), backend=backend, check_norm=True)
 
