@@ -11,6 +11,7 @@ Formats are identical to the `wstates growth/angles/analyze` output.
 import argparse
 from pathlib import Path
 
+from wstates.analysis import DEFAULT_EXTRA_PAIR_RATE
 from wstates.cli import main as wstates
 
 
@@ -22,7 +23,7 @@ def main() -> None:
                         help="comma-separated n values for JSON reports")
     parser.add_argument("--gamma", default=0.1, type=float,
                         help="single-photon source rate for the PDC block")
-    parser.add_argument("--delta", default=1e-4, type=float)
+    parser.add_argument("--delta", default=DEFAULT_EXTRA_PAIR_RATE, type=float)
     args = parser.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ from .synthesis import CountPrediction, _coupler_alpha, build_w_circuit, predict
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
 DEFAULT_EXTRA_PAIR_RATE = 1e-4
+DEFAULT_DELTAS = (0.0, 0.1, 0.2, 0.5, 1.0, 2.0)  # plate-angle offsets, degrees
 FAILURE_FIDELITY_THRESHOLD = 0.99
 LINEAR_PROBABILITY_FLOOR = -300.0  # log10 cutoff below which only logs are kept
 PLATE_ANGLE_LIMIT_DEG = 22.5
@@ -115,7 +116,7 @@ def _perturbed_circuit(base: Circuit, position: int, delta_degrees: float) -> Ci
 def angle_sensitivity(
     n: int,
     gate_position: int = 1,
-    delta_degrees=(0.0, 0.1, 0.2, 0.5, 1.0, 2.0),
+    delta_degrees=DEFAULT_DELTAS,
     *,
     backend: str = "auto",
 ) -> list[SensitivityRecord]:
@@ -141,6 +142,6 @@ def angle_sensitivity(
     records = []
     for d in sorted(delta_degrees):
         circuit = _perturbed_circuit(base, gate_position, d)
-        out = run(circuit, input_state, backend=backend)
+        out = run(circuit, input_state)
         records.append(SensitivityRecord(n, gate_position, d, fidelity(out, reference)))
     return records

@@ -13,6 +13,9 @@ import math
 import sys
 
 from .analysis import (
+    DEFAULT_DELTAS,
+    DEFAULT_EXTRA_PAIR_RATE,
+    DEFAULT_GATE_SUCCESS,
     PdcModel,
     angle_sensitivity,
     gate_growth_table,
@@ -25,7 +28,6 @@ from .errors import CapacityError, CircuitParseError
 from .gates import Level
 from .lowering import lower
 from .simulator import (
-    AUTO_DENSE_MAX,
     basis_state,
     dump_state,
     fidelity,
@@ -70,19 +72,16 @@ def _cmd_simulate(args) -> int:
     circuit = load_circuit(args.circuit)
     # The input is checked before run resolves the backend and its cap, so
     # a malformed input exits 2 even on a circuit no backend can run.
-    state = run(
-        circuit, basis_state(circuit.n_qubits, args.input, backend="sparse"),
-        backend=args.backend, auto_threshold=args.auto_threshold,
-    )
-    sys.stdout.write(dump_state(state))
+    state = basis_state(circuit.n_qubits, args.input, backend="sparse")
+    sys.stdout.write(dump_state(run(circuit, state, backend=args.backend)))
     return 0
 
 
 def _cmd_verify(args) -> int:
     n = args.n
-    backend = resolve_backend(n, args.backend, auto_threshold=args.auto_threshold)
+    backend = resolve_backend(n, args.backend)
     circuit = build_w_circuit(n)
-    out = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend=backend), backend=backend)
+    out = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend=backend))
     fid = fidelity(out, w_reference(n))
     print(f"n={n} fidelity={fid:.12f}")
     return 0 if fid >= FIDELITY_PASS else 2
@@ -150,17 +149,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_backend_flags(sub) -> None:
-    sub.add_argument(
-        "--backend", choices=("dense", "sparse", "auto"), default="auto"
-    )
-    sub.add_argument(
-        "--auto-threshold",
-        type=int,
-        default=AUTO_DENSE_MAX,
-        metavar="N",
-        help="largest n the auto backend still simulates densely",
-    )
+def _add_backend_flag(sub) -> None:
+    sub.add_argument("--backend", choices=("dense", "sparse", "auto"), default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,22 +174,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="run a circuit file on a basis input")
     sub.add_argument("--circuit", required=True, metavar="FILE")
     sub.add_argument("--input", required=True, metavar="BITSTRING")
-    _add_backend_flags(sub)
+    _add_backend_flag(sub)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("verify", help="synthesize, simulate, and check fidelity")
     sub.add_argument("--n", type=int, required=True)
-    _add_backend_flags(sub)
+    _add_backend_flag(sub)
     sub.set_defaults(func=_cmd_verify)
 
     sub = subs.add_parser("analyze", help="JSON resource and feasibility report")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=float, default=1.0 / 9.0,
-                     help="per-CNOT success probability (default 1/9)")
+    sub.add_argument("--p", type=float, default=DEFAULT_GATE_SUCCESS,
+                     help="per-CNOT success probability (default %(default)s)")
     sub.add_argument("--gamma", type=float,
                      help="single-photon source rate; enables the PDC block")
-    sub.add_argument("--delta", type=float, default=1e-4,
-                     help="extra-pair rate (default 1e-4)")
+    sub.add_argument("--delta", type=float, default=DEFAULT_EXTRA_PAIR_RATE,
+                     help="extra-pair rate (default %(default)s)")
     sub.add_argument("--out", metavar="FILE")
     sub.set_defaults(func=_cmd_analyze)
 
@@ -217,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--position", type=int, default=1,
                      help="coupler position j, perturbing F(j, j+1)")
-    sub.add_argument("--deltas", default="0,0.1,0.2,0.5,1,2",
+    sub.add_argument("--deltas", default=",".join(map(str, DEFAULT_DELTAS)),
                      help="comma-separated plate-angle offsets in degrees")
-    sub.add_argument("--backend", choices=("dense", "sparse", "auto"), default="auto")
+    _add_backend_flag(sub)
     sub.add_argument("--out", metavar="FILE")
     sub.set_defaults(func=_cmd_sweep)
 

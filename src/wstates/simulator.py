@@ -8,7 +8,7 @@ qubits.  Amplitudes are real by construction (every gate matrix is real),
 so no complex storage exists anywhere.
 
 There is one execution path.  resolve_backend is the only place that maps
-"auto" to a backend and the only cap check: the caps are the constants
+"auto" to a backend and the only qubit-cap check: the caps are the constants
 DENSE_QUBIT_CAP and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its
 dense storage through it too.  run converts the input to that backend's
 storage and, like apply_gate, hands it to _execute.  _execute reads the
@@ -25,10 +25,13 @@ bits as one CNOT at a time), a CZ one masked sign flip, and only mix needs
 pair matching.  It converts all keys in one unpackbits or packbits call at
 its boundary and drops amplitudes below PRUNE_THRESHOLD after each mix
 (with this circuit family that only ever removes numerically-zero residue).
+Its support is not known in advance, so it raises CapacityError before an
+allocation would pass SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ from .gates import (
 
 DENSE_QUBIT_CAP = 24
 SPARSE_QUBIT_CAP = 10000
+SPARSE_ENGINE_BYTES = 1 << 28  # holds 16384 rows of SPARSE_QUBIT_CAP qubits
 AUTO_DENSE_MAX = 20
 PRUNE_THRESHOLD = 1e-15
 _NORM_GUARD = 1e-9
@@ -70,8 +74,8 @@ def encode_bits(bits: str) -> int:
     return index
 
 
-def pick_backend(n: int, auto_threshold: int = AUTO_DENSE_MAX) -> str:
-    return "dense" if n <= auto_threshold else "sparse"
+def pick_backend(n: int) -> str:
+    return "dense" if n <= AUTO_DENSE_MAX else "sparse"
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -90,9 +94,10 @@ class QuantumState:
 
     def __post_init__(self):
         if self.backend == "dense":
-            if np.iscomplexobj(self.amplitudes):
+            arr = np.asarray(self.amplitudes)
+            if arr.dtype.kind not in "biuf":
                 raise ValueError("amplitudes must be real")
-            arr = np.ascontiguousarray(self.amplitudes, dtype=np.float64)
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
             if arr.shape != (1 << self.n,):
                 raise ValueError("dense amplitude array has wrong length")
             arr.setflags(write=False)
@@ -105,7 +110,7 @@ class QuantumState:
                     k = operator.index(k)
                 except TypeError:
                     raise ValueError(f"basis index {k!r} is not an integer") from None
-                if isinstance(v, (complex, np.complexfloating)):
+                if not isinstance(v, numbers.Real):
                     raise ValueError("amplitudes must be real")
                 if not 0 <= k < bound:
                     raise ValueError(f"basis index {k} does not fit {self.n} qubits")
@@ -250,10 +255,11 @@ class _SparseEngine:
 
     def __init__(self, n: int, items: dict):
         self.n = n
+        self.m = 0
+        self.bits = np.zeros((n, 0), dtype=np.uint8)
+        self.amps = np.zeros(0)
+        self._grow(len(items))
         self.m = len(items)
-        cap = max(2 * self.m, 16)
-        self.bits = np.zeros((n, cap), dtype=np.uint8)
-        self.amps = np.zeros(cap)
         width = (n + 7) // 8
         raw = b"".join(int(key).to_bytes(width, "big") for key in items)
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.m, width)
@@ -261,10 +267,15 @@ class _SparseEngine:
         self.amps[: self.m] = np.fromiter(items.values(), np.float64, self.m)
 
     def _grow(self, needed: int) -> None:
+        """The only allocation: needed rows of n + 8 bytes, within SPARSE_ENGINE_BYTES."""
         cap = self.amps.shape[0]
         if needed <= cap:
             return
-        new_cap = max(2 * cap, needed)
+        limit = SPARSE_ENGINE_BYTES // (self.n + 8)
+        if needed > limit:
+            raise CapacityError(f"sparse support of {needed} entries at {self.n} qubits "
+                                f"exceeds the {SPARSE_ENGINE_BYTES}-byte engine budget")
+        new_cap = min(max(2 * cap, needed, 16), limit)
         bits = np.zeros((self.n, new_cap), dtype=np.uint8)
         amps = np.zeros(new_cap)
         bits[:, : self.m] = self.bits[:, : self.m]
@@ -359,12 +370,12 @@ class _SparseEngine:
 
 # --- public execution API -------------------------------------------------
 
-def resolve_backend(n: int, backend: str, *, auto_threshold: int = AUTO_DENSE_MAX) -> str:
+def resolve_backend(n: int, backend: str) -> str:
     """The backend, "dense" or "sparse", that runs n qubits: "auto" maps
     through pick_backend, and CapacityError is raised if the backend cannot
     run n qubits.  Cheap, so callers resolve before building anything."""
     if backend == "auto":
-        backend = pick_backend(n, auto_threshold)
+        backend = pick_backend(n)
     cap = {"dense": DENSE_QUBIT_CAP, "sparse": SPARSE_QUBIT_CAP}.get(backend)
     if cap is None:
         raise ValueError(f"unknown backend {backend!r}")
@@ -420,22 +431,19 @@ def run(
     state: QuantumState,
     *,
     backend: str | None = None,
-    auto_threshold: int = AUTO_DENSE_MAX,
     check_norm: bool = False,
 ) -> QuantumState:
     """Apply the circuit's gates in list order to the input state.
 
     backend None keeps the input's backend; "auto" picks dense for
-    n <= auto_threshold, sparse above.  Deterministic: identical inputs
+    n <= AUTO_DENSE_MAX, sparse above.  Deterministic: identical inputs
     give bit-identical outputs.
     """
     if circuit.n_qubits != state.n:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n}"
         )
-    chosen = resolve_backend(
-        state.n, backend or state.backend, auto_threshold=auto_threshold
-    )
+    chosen = resolve_backend(state.n, backend or state.backend)
     state = state.to_dense() if chosen == "dense" else state.to_sparse()
     return _execute(state, circuit.gates, check_norm)
 

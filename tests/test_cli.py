@@ -8,8 +8,8 @@ import time
 import pytest
 
 from wstates import parse_circuit
+from wstates.analysis import DEFAULT_DELTAS, DEFAULT_EXTRA_PAIR_RATE, DEFAULT_GATE_SUCCESS
 from wstates.cli import build_parser, main
-from wstates.simulator import AUTO_DENSE_MAX
 
 EMPTY_2Q = "wcircuit 1\nqubits 2\n"
 
@@ -299,6 +299,19 @@ def test_verify_checks_capacity_before_building(monkeypatch, capsys, argv):
     assert err.startswith("error: ") and "capped" in err
 
 
+def test_sparse_support_budget_exits_3(monkeypatch, tmp_path, capsys):
+    import wstates.simulator
+
+    path = str(tmp_path / "w12.wc")
+    assert cli(capsys, "synth", "--n", "12", "--out", path)[0] == 0
+    monkeypatch.setattr(wstates.simulator, "SPARSE_ENGINE_BYTES", 64 * (12 + 8))
+    code, out, err = cli(
+        capsys, "simulate", "--circuit", path, "--input", "VHVHVHVHVHVH", "--backend", "sparse"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: sparse support of ") and err.count("\n") == 1
+
+
 def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     import wstates.cli
 
@@ -357,7 +370,24 @@ def test_sweep_rejects_small_n(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--n", "5"], ["simulate", "--circuit", "c.txt", "--input", "VHH"]]
+    "argv",
+    [
+        ["verify", "--n", "25"],
+        ["simulate", "--circuit", "c.txt", "--input", "VHH"],
+        ["sweep", "--n", "25"],
+    ],
 )
-def test_auto_threshold_defaults_to_the_simulator_constant(argv):
-    assert build_parser().parse_args(argv).auto_threshold == AUTO_DENSE_MAX
+def test_auto_threshold_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--auto-threshold", "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --auto-threshold" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_library_constants():
+    parser = build_parser()
+    analyze = parser.parse_args(["analyze", "--n", "5"])
+    assert analyze.p == DEFAULT_GATE_SUCCESS
+    assert analyze.delta == DEFAULT_EXTRA_PAIR_RATE
+    sweep = parser.parse_args(["sweep", "--n", "5"])
+    assert tuple(float(tok) for tok in sweep.deltas.split(",")) == DEFAULT_DELTAS

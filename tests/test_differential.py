@@ -2,11 +2,14 @@
 
 The circuits mix single gates with runs of CNOTs onto one target, which
 both engines apply as one fused op, so every engine method is exercised:
-cnots, cz (at the CZ level) and mix.
+cnots, cz (at the CZ level) and mix.  Past the dense cap, the sparse engine
+is held to _oracle, a dict engine on Python int keys, bit for bit and in
+entry order, on sizes that straddle 64-bit word boundaries.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstates import (
@@ -18,46 +21,92 @@ from wstates import (
     ROT,
     apply_gate,
     basis_state,
+    build_w_circuit,
+    encode_bits,
     lower,
     run,
     unitary_of,
 )
+from wstates.simulator import PRUNE_THRESHOLD
 
 ANGLES = st.floats(-math.pi, math.pi)
+WIDE_SIZES = st.sampled_from((63, 64, 65, 66, 127, 128, 129, 130))
 
 
-def _wire_pair(n):
-    return st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+def _any_wire(n):
+    return st.integers(1, n)
 
 
-def _cnot_run(n):
+def _edge_wire(n):
+    """Wires at both ends and beside each 64-bit word boundary, counted from
+    either end."""
+    bases = (1, 64, 128, n - 63, n - 127, n)
+    return st.sampled_from(sorted({w for b in bases for w in range(b - 2, b + 3) if 1 <= w <= n}))
+
+
+def _any_input(n):
+    return st.integers(0, (1 << n) - 1).map(lambda i: format(i, f"0{n}b"))
+
+
+def _few_vs(n):
+    """1-3 V's, on edge wires."""
+    return st.sets(_edge_wire(n), min_size=1, max_size=3).map(
+        lambda vs: "".join("V" if w in vs else "H" for w in range(1, n + 1))
+    )
+
+
+def _wire_pair(wires):
+    return st.tuples(wires, wires).filter(lambda p: p[0] != p[1])
+
+
+def _cnot_run(wires):
     """1-4 CNOTs sharing one target; controls may repeat."""
-    return st.integers(1, n).flatmap(
+    return wires.flatmap(
         lambda t: st.lists(
-            st.integers(1, n).filter(lambda c: c != t), min_size=1, max_size=4
+            wires.filter(lambda c: c != t), min_size=1, max_size=4
         ).map(lambda controls: [CNOT(c, t) for c in controls])
     )
 
 
-def _circuits(level):
+def _circuits(level, sizes=st.integers(2, 6), wire=_any_wire, inputs=_any_input):
     def for_size(n):
+        wires = wire(n)
         if level == Level.COMPOSITE:
-            single = st.builds(lambda p, a: F(p[0], p[1], a), _wire_pair(n), ANGLES)
+            single = st.builds(lambda p, a: F(p[0], p[1], a), _wire_pair(wires), ANGLES)
         elif level == Level.CZ_LEVEL:
             single = st.one_of(
-                st.builds(ROT, st.integers(1, n), ANGLES),
-                _wire_pair(n).map(lambda p: CZ(*p)),
+                st.builds(ROT, wires, ANGLES),
+                _wire_pair(wires).map(lambda p: CZ(*p)),
             )
         else:
-            single = st.builds(ROT, st.integers(1, n), ANGLES)
-        blocks = st.lists(st.one_of(single.map(lambda g: [g]), _cnot_run(n)), max_size=8)
+            single = st.builds(ROT, wires, ANGLES)
+        blocks = st.lists(st.one_of(single.map(lambda g: [g]), _cnot_run(wires)), max_size=8)
         return st.tuples(
-            st.just(n),
-            blocks.map(lambda bs: tuple(g for b in bs for g in b)),
-            st.integers(0, (1 << n) - 1).map(lambda i: format(i, f"0{n}b")),
+            st.just(n), blocks.map(lambda bs: tuple(g for b in bs for g in b)), inputs(n)
         )
 
-    return st.integers(2, 6).flatmap(for_size)
+    return sizes.flatmap(for_size)
+
+
+def _oracle(n, gates, bits):
+    """The sparse engine's entries, one gate at a time on a dict: a mix visits
+    its sectors in entry order, appends missing partners in that order and
+    then drops entries below PRUNE_THRESHOLD."""
+    amps = {encode_bits(bits): 1.0}
+    for g in gates:
+        t = 1 << (n - g.target)
+        c = 0 if g.control is None else 1 << (n - g.control)
+        if g.kind == "CNOT":
+            amps = {k ^ t if k & c else k: a for k, a in amps.items()}
+        elif g.kind == "CZ":
+            amps = {k: -a if k & c and k & t else a for k, a in amps.items()}
+        else:
+            co, si = math.cos(g.angle), math.sin(g.angle)
+            for k0 in {k & ~t: None for k in amps if (k & c) == c}:
+                a0, a1 = amps.get(k0, 0.0), amps.get(k0 | t, 0.0)
+                amps[k0], amps[k0 | t] = co * a0 + si * a1, si * a0 - co * a1
+            amps = {k: a for k, a in amps.items() if abs(a) >= PRUNE_THRESHOLD}
+    return list(amps.items())
 
 
 def _check_three_ways(circuit, bits):
@@ -75,6 +124,7 @@ def _check_three_ways(circuit, bits):
         sparse_steps = apply_gate(sparse_steps, g)
     assert np.array_equal(dense.amplitudes, dense_steps.amplitudes)
     assert sparse.amplitudes == sparse_steps.amplitudes
+    assert list(sparse.amplitudes.items()) == _oracle(n, circuit.gates, bits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,6 +146,26 @@ def test_cz_level_circuits_agree_three_ways(drawn):
 def test_elementary_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.ELEMENTARY), bits)
+
+
+@pytest.mark.parametrize("level", list(Level), ids=lambda level: level.name)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_wide_circuits_match_the_oracle(level, data):
+    n, gates, bits = data.draw(_circuits(level, WIDE_SIZES, _edge_wire, _few_vs))
+    out = run(Circuit(n, gates, level), basis_state(n, bits, backend="sparse"))
+    assert list(out.amplitudes.items()) == _oracle(n, gates, bits)
+
+
+@pytest.mark.parametrize("level", list(Level), ids=lambda level: level.name)
+@pytest.mark.parametrize("n", [65, 129])
+def test_w_network_matches_the_oracle(n, level):
+    circuit = build_w_circuit(n)
+    if level != Level.COMPOSITE:
+        circuit = lower(circuit, level)
+    bits = "V" + "H" * (n - 1)
+    out = run(circuit, basis_state(n, bits, backend="sparse"))
+    assert list(out.amplitudes.items()) == _oracle(n, circuit.gates, bits)
 
 
 @settings(max_examples=60, deadline=None)

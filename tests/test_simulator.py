@@ -81,9 +81,13 @@ def test_sparse_state_accepts_numpy_integer_keys():
 def test_complex_amplitudes_are_rejected(backend):
     from wstates import QuantumState
 
-    amplitudes = {0: 1 + 0.5j} if backend == "sparse" else np.array([1 + 0.5j, 0, 0, 0])
-    with pytest.raises(ValueError, match="^amplitudes must be real$"):
-        QuantumState(2, amplitudes, backend)
+    if backend == "sparse":
+        cases = [{0: 1 + 0.5j}, {0: "1"}, {0: None}]
+    else:
+        cases = [np.array([1 + 0.5j, 0, 0, 0]), ["1", "0", "0", "0"], [None, 1, 0, 0]]
+    for amplitudes in cases:
+        with pytest.raises(ValueError, match="^amplitudes must be real$"):
+            QuantumState(2, amplitudes, backend)
 
 
 def test_w_reference_amplitudes():
@@ -253,10 +257,27 @@ def test_dense_capacity_enforced():
         _input(40, "sparse").to_dense()
 
 
+def test_sparse_support_budget(monkeypatch):
+    import wstates.simulator
+
+    circuit = build_w_circuit(12)
+    assert run(circuit, basis_state(12, "VHVHVHVHVHVH", backend="sparse")).support_size() == 169
+    monkeypatch.setattr(wstates.simulator, "SPARSE_ENGINE_BYTES", 64 * (12 + 8))
+    with pytest.raises(CapacityError, match=r"^sparse support of \d+ entries at 12 qubits"):
+        run(circuit, basis_state(12, "VHVHVHVHVHVH", backend="sparse"))
+
+
+def test_sparse_budget_holds_the_w_network_at_the_qubit_cap():
+    from wstates.simulator import SPARSE_ENGINE_BYTES, SPARSE_QUBIT_CAP
+
+    # The network keeps at most n entries, and capacity doubles from 16 rows,
+    # so n = SPARSE_QUBIT_CAP takes at most 16384 rows of n + 8 bytes.
+    assert 16384 * (SPARSE_QUBIT_CAP + 8) <= SPARSE_ENGINE_BYTES
+
+
 def test_auto_backend_threshold():
     assert pick_backend(20) == "dense"
     assert pick_backend(21) == "sparse"
-    assert pick_backend(21, auto_threshold=24) == "dense"
     out = run(build_w_circuit(21), _input(21, "sparse"), backend="auto")
     assert out.backend == "sparse"
 
