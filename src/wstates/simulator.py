@@ -7,26 +7,27 @@ exceeds n simultaneous nonzeros, so sparse runs scale to thousands of
 qubits.  Amplitudes are real by construction (every gate matrix is real),
 so no complex storage exists anywhere.
 
-There is one execution path.  resolve_backend is the only place that maps
-"auto" to a backend and the only qubit-cap check: the caps are the constants
-DENSE_QUBIT_CAP and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its
-dense storage through it too.  run converts the input to that backend's
-storage and, like apply_gate, hands it to _execute.  _execute reads the
-gate columns (see gates.py) and plans the ops once with _fusion_plan: each
-fan-in layer, a maximal run of consecutive CNOTs that share a target, is
-one op, every other gate its own.  Its loop is the only op loop and the
-only branch on gate kind; with check_norm it checks the norm after each
-op.  An engine only says how to apply an op, through cnots(controls,
-target), cz(control, target) and mix(control or None, target, angle).  The
-dense engine swaps one control at a time in gate order.  The sparse engine
-keeps a (n_qubits x support) bit matrix and an amplitude vector: a CNOT
-run is one XOR-reduce of its control rows into the target row (the same
-bits as one CNOT at a time), a CZ one masked sign flip, and only mix needs
-pair matching.  It converts all keys in one unpackbits or packbits call at
-its boundary and drops amplitudes below PRUNE_THRESHOLD after each mix
-(with this circuit family that only ever removes numerically-zero residue).
-Its support is not known in advance, so it raises CapacityError before an
-allocation would pass SPARSE_ENGINE_BYTES.
+There is one execution path.  resolve_backend maps "auto" for every run
+and is the only qubit-cap check: the caps are the constants DENSE_QUBIT_CAP
+and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its dense storage
+through it too (basis_state maps "auto" as well, but applies no run cap).
+run converts the input to that backend's storage and, like apply_gate,
+hands it to _execute.  _execute reads the gate columns (see gates.py) and
+plans the ops once with _fusion_plan: each fan-in layer, a maximal run of
+consecutive CNOTs that share a target, is one op, every other gate its own.
+Its loop is the only op loop and the only branch on gate kind; with
+check_norm it checks the norm after each op.  An engine only says how to
+apply an op, through cnots(controls, target), cz(control, target) and
+mix(control or None, target, angle).  The dense engine swaps one control at
+a time in gate order.  The sparse engine keeps each key as 64-bit words
+beside an amplitude vector: a CNOT run flips the target bit where the key
+has odd parity under one mask, the XOR of the control bits (the same bits
+as one CNOT at a time), a CZ is one masked sign flip, and mix pairs rows by
+one stable sort.  Keys cross its boundary in one bytes buffer; it drops
+amplitudes below PRUNE_THRESHOLD after each mix (with this circuit family
+that only ever removes numerically-zero residue).  Its support is not known
+in advance, so it raises CapacityError before an allocation would pass
+SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -251,36 +252,40 @@ class _DenseEngine:
 
 
 class _SparseEngine:
-    """Run-private scratch: bit matrix (n x capacity) + amplitude vector."""
+    """Run-private scratch: key words (W x capacity uint64) + amplitude vector.
+    Column i is key i in W big-endian words, right-aligned: qubit q is at bit
+    position offset + q, where bit p is 1 << (63 - p % 64) of word p // 64."""
 
     def __init__(self, n: int, items: dict):
         self.n = n
+        self.w = -(-n // 64)
+        self.offset = 64 * self.w - n - 1
         self.m = 0
-        self.bits = np.zeros((n, 0), dtype=np.uint8)
+        self.keys = np.zeros((self.w, 0), dtype=np.uint64)
         self.amps = np.zeros(0)
         self._grow(len(items))
         self.m = len(items)
-        width = (n + 7) // 8
-        raw = b"".join(int(key).to_bytes(width, "big") for key in items)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.m, width)
-        self.bits[:, : self.m] = np.unpackbits(rows, axis=1)[:, 8 * width - n :].T
+        raw = b"".join(int(key).to_bytes(8 * self.w, "big") for key in items)
+        self.keys[:, : self.m] = np.frombuffer(raw, dtype=">u8").reshape(self.m, self.w).T
         self.amps[: self.m] = np.fromiter(items.values(), np.float64, self.m)
 
     def _grow(self, needed: int) -> None:
-        """The only allocation: needed rows of n + 8 bytes, within SPARSE_ENGINE_BYTES."""
+        """The only allocation: needed rows of 4 * (8W + 8) bytes, within SPARSE_ENGINE_BYTES."""
+        # A row's words and amplitude take 8W + 8 bytes; the factor covers the
+        # temporaries of a mix over the whole support.
         cap = self.amps.shape[0]
         if needed <= cap:
             return
-        limit = SPARSE_ENGINE_BYTES // (self.n + 8)
+        limit = SPARSE_ENGINE_BYTES // (4 * (8 * self.w + 8))
         if needed > limit:
             raise CapacityError(f"sparse support of {needed} entries at {self.n} qubits "
                                 f"exceeds the {SPARSE_ENGINE_BYTES}-byte engine budget")
         new_cap = min(max(2 * cap, needed, 16), limit)
-        bits = np.zeros((self.n, new_cap), dtype=np.uint8)
+        keys = np.zeros((self.w, new_cap), dtype=np.uint64)
         amps = np.zeros(new_cap)
-        bits[:, : self.m] = self.bits[:, : self.m]
+        keys[:, : self.m] = self.keys[:, : self.m]
         amps[: self.m] = self.amps[: self.m]
-        self.bits, self.amps = bits, amps
+        self.keys, self.amps = keys, amps
 
     def _compact(self) -> None:
         m = self.m
@@ -288,83 +293,97 @@ class _SparseEngine:
         if live.all():
             return
         k = int(live.sum())
-        self.bits[:, :k] = self.bits[:, :m][:, live]
+        self.keys[:, :k] = self.keys[:, :m][:, live]
         self.amps[:k] = self.amps[:m][live]
         self.m = k
 
+    def _bit(self, qubit: int) -> tuple[int, int]:
+        """The word that holds a qubit, and the qubit's mask in it."""
+        pos = self.offset + qubit
+        return pos // 64, 1 << (63 - pos % 64)
+
+    def _has(self, qubit: int) -> np.ndarray:
+        """Which live rows have the qubit set."""
+        word, bit = self._bit(qubit)
+        return self.keys[word, : self.m] & bit != 0
+
     def cnots(self, controls: np.ndarray, target: int) -> None:
-        """One XOR-reduce of the control rows into the target row."""
+        """Flip the target where the key has odd parity under the run's mask.
+        The mask is the XOR of the control bits, so a repeated control cancels."""
         m = self.m
-        fan_in = self.bits[controls - 1, :m]
-        self.bits[target - 1, :m] ^= np.bitwise_xor.reduce(fan_in, axis=0)
+        flips = np.bincount(self.offset + controls, minlength=64 * self.w) & 1
+        mask = np.packbits(flips).view(">u8").astype(np.uint64)
+        parity = np.bitwise_count(np.bitwise_xor.reduce(self.keys[:, :m] & mask[:, None], axis=0))
+        word, bit = self._bit(target)
+        self.keys[word, :m] ^= (parity & 1) * np.uint64(bit)
 
     def cz(self, control: int, target: int) -> None:
-        m = self.m
-        both = (self.bits[control - 1, :m] & self.bits[target - 1, :m]) != 0
-        self.amps[:m][both] *= -1.0
+        self.amps[: self.m][self._has(control) & self._has(target)] *= -1.0
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
         m = self.m
-        if control is None:
-            idxs = np.arange(m)
-        else:
-            idxs = np.flatnonzero(self.bits[control - 1, :m])
-            if idxs.size == 0:
-                return
+        rows = np.arange(m) if control is None else np.flatnonzero(self._has(control))
+        if rows.size == 0:
+            return
         c, s = math.cos(alpha), math.sin(alpha)
-        sub = self.bits[:, idxs]
-        tvals = sub[target - 1].copy()
-        sub[target - 1] = 0
-        keys = np.ascontiguousarray(sub.T)
+        word, bit = self._bit(target)
         # Sector = all untouched bits; each sector holds at most two rows
-        # (target bit 0 and 1), mixed by R(alpha).
-        sectors: dict[bytes, list[int]] = {}
-        order: list[list[int]] = []
-        for j in range(idxs.size):
-            key = keys[j].tobytes()
-            slot = sectors.get(key)
-            if slot is None:
-                slot = [-1, -1]
-                sectors[key] = slot
-                order.append(slot)
-            slot[int(tvals[j])] = int(idxs[j])
-        appends: list[tuple[int, int, float]] = []
-        for i0, i1 in order:
-            a0 = self.amps[i0] if i0 >= 0 else 0.0
-            a1 = self.amps[i1] if i1 >= 0 else 0.0
-            b0 = c * a0 + s * a1
-            b1 = s * a0 - c * a1
-            if i0 >= 0:
-                self.amps[i0] = b0
-            elif abs(b0) >= PRUNE_THRESHOLD:
-                appends.append((i1, 0, b0))
-            if i1 >= 0:
-                self.amps[i1] = b1
-            elif abs(b1) >= PRUNE_THRESHOLD:
-                appends.append((i0, 1, b1))
-        self._grow(self.m + len(appends))
-        for src, tbit, amp in appends:
-            i = self.m
-            self.bits[:, i] = self.bits[:, src]
-            self.bits[target - 1, i] = tbit
-            self.amps[i] = amp
-            self.m = i + 1
+        # (target bit 0 and 1), mixed by R(alpha).  A row without a partner
+        # mixes with 0.0, and the partner is appended in source-row order.
+        if rows.size <= 2:
+            # The F sectors of the W network: scalars beat a dozen tiny arrays.
+            rows = rows.tolist()
+            keys = [self.keys[:, r].tolist() for r in rows]
+            ones = [k[word] & bit != 0 for k in keys]
+            amps = [self.amps.item(r) for r in rows]
+            keys[0][word] ^= bit
+            paired = len(rows) == 2 and keys[0] == keys[1]
+            src, vals = [], []
+            for r, one, a, p in zip(rows, ones, amps, amps[::-1] if paired else (0.0, 0.0)):
+                a0, a1 = (p, a) if one else (a, p)
+                b0, b1 = c * a0 + s * a1, s * a0 - c * a1
+                self.amps[r] = b1 if one else b0
+                other = b0 if one else b1
+                if not paired and abs(other) >= PRUNE_THRESHOLD:
+                    src.append(r)
+                    vals.append(other)
+        else:
+            sub = self.keys[:, rows]
+            ones = (sub[word] & bit) != 0
+            sub[word] &= ~np.uint64(bit)
+            order = np.lexsort(sub[::-1])
+            ranked = sub[:, order]
+            pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+            lo, hi = order[:-1][pair], order[1:][pair]
+            amps = self.amps[rows]
+            partner = np.zeros(rows.size)
+            partner[lo], partner[hi] = amps[hi], amps[lo]
+            lone = np.ones(rows.size, dtype=bool)
+            lone[lo] = lone[hi] = False
+            a0, a1 = np.where(ones, partner, amps), np.where(ones, amps, partner)
+            b0, b1 = c * a0 + s * a1, s * a0 - c * a1
+            self.amps[rows], other = np.where(ones, b1, b0), np.where(ones, b0, b1)
+            add = lone & (np.abs(other) >= PRUNE_THRESHOLD)
+            src, vals = rows[add], other[add]
+        end = m + len(src)
+        self._grow(end)
+        self.keys[:, m:end] = self.keys[:, src]
+        self.keys[word, m:end] ^= np.uint64(bit)
+        self.amps[m:end] = vals
+        self.m = end
         self._compact()
 
     def live(self) -> np.ndarray:
         return self.amps[: self.m]
 
     def amplitudes(self) -> dict[int, float]:
-        m = self.m
-        width = (self.n + 7) // 8
-        pad = 8 * width - self.n
-        # Row i of the transposed bits packs to key i: bytes
-        # [i * width, (i + 1) * width) of one buffer.  Packing a contiguous
-        # copy is several times faster than packing the strided view.
-        packed = np.packbits(np.ascontiguousarray(self.bits[:, :m].T), axis=1).tobytes()
+        # Column i of the keys, as one big-endian row of W words, is key i:
+        # bytes [i * size, (i + 1) * size) of one buffer.
+        size = 8 * self.w
+        raw = self.keys[:, : self.m].T.astype(">u8").tobytes()
         return {
-            int.from_bytes(packed[i * width : (i + 1) * width], "big") >> pad: amp
-            for i, amp in enumerate(self.amps[:m].tolist())
+            int.from_bytes(raw[i * size : (i + 1) * size], "big"): amp
+            for i, amp in enumerate(self.amps[: self.m].tolist())
         }
 
 
@@ -390,7 +409,7 @@ def _fusion_plan(gates: GateColumns) -> np.ndarray:
 
     A run can be applied as one op, exactly: no control of the run is its
     target, so no CNOT of the run changes a control, and the CNOTs commute
-    (the sparse engine's XOR of the control rows is exact too).
+    (so is the sparse engine's parity under the XOR of the control bits).
     """
     cnot = gates.kind == CNOT_CODE
     joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wstates import (
     CNOT,
@@ -129,6 +129,13 @@ def _check_three_ways(circuit, bits):
 
 @settings(max_examples=80, deadline=None)
 @given(_circuits(Level.COMPOSITE))
+# An F whose control selects one row; two rows that pair; two that do not;
+# three rows, all without a partner; three rows, a pair and one without.
+@example((3, (F(1, 2, 0.7),), "100"))
+@example((3, (F(1, 2, 0.7), F(1, 2, 0.3)), "100"))
+@example((3, (F(1, 2, 0.7), F(1, 3, 0.3)), "100"))
+@example((4, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 4, 0.5)), "1000"))
+@example((3, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 3, 0.5)), "100"))
 def test_composite_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.COMPOSITE), bits)

@@ -271,7 +271,8 @@ def test_sparse_budget_holds_the_w_network_at_the_qubit_cap():
     from wstates.simulator import SPARSE_ENGINE_BYTES, SPARSE_QUBIT_CAP
 
     # The network keeps at most n entries, and capacity doubles from 16 rows,
-    # so n = SPARSE_QUBIT_CAP takes at most 16384 rows of n + 8 bytes.
+    # so n = SPARSE_QUBIT_CAP takes at most 16384 rows.  A row is charged
+    # 4 * (8 * ceil(n / 64) + 8) bytes, no more than n + 8 at this n.
     assert 16384 * (SPARSE_QUBIT_CAP + 8) <= SPARSE_ENGINE_BYTES
 
 
@@ -406,10 +407,10 @@ def test_nan_amplitudes_fail_the_norm_check(backend):
         QuantumState(2, amplitudes, backend)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 300])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64, 65, 128, 129, 300])
 def test_sparse_engine_round_trips_keys_in_order(n):
-    # Keys go in and out of the engine's bit matrix in bulk; neither the
-    # bits of a key nor the order of the entries may change.
+    # Keys go in and out of the engine's 64-bit key words in bulk; neither
+    # the bits of a key nor the order of the entries may change.
     from wstates.simulator import _SparseEngine
 
     rng = np.random.default_rng(n)
