@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .gates import F_CODE, Circuit, GateColumns
 from .lowering import lower  # unused here; wbench/tracer.py wraps analysis.lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
-from .synthesis import CountPrediction, _coupler_alpha, build_w_circuit, predicted_counts
+from .synthesis import (CountPrediction, _coupler_alpha, _require_size, build_w_circuit,
+                        predicted_counts)
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
 DEFAULT_EXTRA_PAIR_RATE = 1e-4
@@ -80,8 +81,7 @@ def resource_report(n: int, gate_success_prob: float = DEFAULT_GATE_SUCCESS) -> 
 def pdc_rates(n: int, model: PdcModel) -> tuple[float, float]:
     """(log10 desired-event rate, log10 error rate) for n source photons:
     gamma**n and gamma**n * delta."""
-    if n < 3:
-        raise ValueError(f"unsupported size: need n >= 3, got {n}")
+    _require_size(n)
     desired = n * math.log10(model.gamma)
     return desired, desired + math.log10(model.delta)
 
@@ -127,7 +127,7 @@ def angle_sensitivity(
     |VH...H>, and the resulting fidelity recorded.  Records come back
     sorted by delta.
     """
-    predicted_counts(n)  # rejects n < 3 before the position check reads n
+    _require_size(n)  # before the position check reads n
     if not 1 <= gate_position <= n - 1:
         raise ValueError(
             f"gate position must be in [1, {n - 1}], got {gate_position}"

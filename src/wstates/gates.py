@@ -182,10 +182,7 @@ class GateColumns(Sequence):
         if isinstance(index, slice):
             return tuple(self._rows(index))
         i = range(len(self))[index]  # normalizes negatives, raises IndexError
-        return _gate_of(
-            int(self.kind[i]), int(self.control[i]), int(self.target[i]),
-            float(self.angle[i]),
-        )
+        return next(self._rows(slice(i, i + 1)))
 
     def _rows(self, index: slice = slice(None)):
         return map(_gate_of, *(c[index].tolist() for c in self._columns()))

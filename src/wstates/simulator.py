@@ -10,7 +10,8 @@ so no complex storage exists anywhere.
 There is one execution path.  resolve_backend maps "auto" for every run
 and is the only qubit-cap check: the caps are the constants DENSE_QUBIT_CAP
 and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its dense storage
-through it too (basis_state maps "auto" as well, but applies no run cap).
+through it too, as does basis_state for every backend but "sparse", which
+is storage only and has no run cap.
 run converts the input to that backend's storage and, like apply_gate,
 hands it to _execute.  _execute reads the gate columns (see gates.py) and
 plans the ops once with _fusion_plan: each fan-in layer, a maximal run of
@@ -169,15 +170,17 @@ class QuantumState:
 
 
 def basis_state(n: int, bits: str, backend: str = "auto") -> QuantumState:
-    """Computational basis state |bits>, e.g. basis_state(3, "VHH")."""
+    """Computational basis state |bits>, e.g. basis_state(3, "VHH").
+
+    "sparse" is storage only and applies no run cap; "auto" and "dense" go
+    through resolve_backend, so they raise its CapacityError above the cap.
+    """
     if len(bits) != n:
         raise ValueError(f"expected {n} characters, got {len(bits)}")
     state = QuantumState(n, {encode_bits(bits): 1.0}, "sparse")
-    if backend == "auto":
-        backend = pick_backend(n)
-    if backend not in ("dense", "sparse"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return state.to_dense() if backend == "dense" else state
+    if backend == "sparse":
+        return state
+    return state.to_dense() if resolve_backend(n, backend) == "dense" else state
 
 
 def w_reference(n: int) -> QuantumState:
@@ -196,8 +199,6 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
         overlap = float(np.dot(a.amplitudes, b.amplitudes))
     else:
         sp, other = (a, b) if a.backend == "sparse" else (b, a)
-        if other.backend == "sparse" and len(other.amplitudes) < len(sp.amplitudes):
-            sp, other = other, sp
         overlap = math.fsum(
             v * other.amplitude(k) for k, v in sp.amplitudes.items()
         )

@@ -10,11 +10,11 @@ CNOT(k,1) for k = 2..n.  Each enhancement adds exactly n two-qubit gates,
 giving (n(n+1) - 4)/2 gates in total: n-1 F couplers and (n-2)(n+1)/2 CNOTs.
 
 build_w_circuit emits the fully unrolled gate sequence directly instead of
-recursing, filling the gate columns by array expansion, so building stays
-O(total gates) with no per-gate Python work and is safe at n in the
-thousands.  The unrolled order is: F couplers F(j, j+1) for j = 1..n-3,
-the shifted 3-qubit base on wires n-2..n, then the CNOT fan-in layers from
-the innermost enhancement outward.
+recursing, so building stays O(total gates) with no per-gate Python work and
+is safe at n in the thousands.  The unrolled order is: F couplers F(j, j+1)
+for j = 1..n-3, the shifted 3-qubit base on wires n-2..n, then the CNOT
+fan-in layers from the innermost enhancement outward, one arange of controls
+per layer.
 """
 from __future__ import annotations
 
@@ -94,27 +94,18 @@ def build_w_circuit(n: int) -> Circuit:
     _require_size(n)
     size = predicted_counts(n).total_two_qubit
     kind = np.full(size, CNOT_CODE, dtype=np.uint8)
-    control = np.empty(size, dtype=np.int32)
-    target = np.empty(size, dtype=np.int32)
     angle = np.zeros(size)
     # Head, n+1 gates: F(j, j+1) for j = 1..n-2, CNOT(n-1, n-2), F(n-1, n),
-    # CNOT(n, n-1).
-    head = n + 1
+    # CNOT(n, n-1).  Then the fan-in layers, innermost enhancement first:
+    # CNOT(m, t) for m = t+1..n, t = n-3..1.  Within a layer the CNOTs
+    # commute (shared target, disjoint controls) and ascend for stable output.
     kind[: n - 2] = kind[n - 1] = F_CODE
-    control[:head] = [*range(1, n - 1), n - 1, n - 1, n]
-    target[:head] = [*range(2, n), n - 2, n, n - 1]
+    layer_target = np.arange(n - 3, 0, -1, dtype=np.int32)
+    layers = (np.arange(t + 1, n + 1, dtype=np.int32) for t in layer_target.tolist())
+    control = np.concatenate([[*range(1, n - 1), n - 1, n - 1, n], *layers], dtype=np.int32)
+    target = np.concatenate([[*range(2, n), n - 2, n, n - 1],
+                             np.repeat(layer_target, n - layer_target)], dtype=np.int32)
     alphas = [_coupler_alpha(n, j) for j in range(1, n)]
     angle[: n - 2] = alphas[:-1]
     angle[n - 1] = alphas[-1]
-    # Fan-in layers, innermost enhancement first: CNOT(m, t) for
-    # m = t+1..n, t = n-3..1.  Within a layer the CNOTs commute (shared
-    # target, disjoint controls) and ascend for stable output.
-    layer_target = np.arange(n - 3, 0, -1, dtype=np.int32)
-    layer_size = n - layer_target
-    target[head:] = np.repeat(layer_target, layer_size)
-    # Controls step by 1 inside a layer and restart at t+1 with each layer.
-    step = np.ones(size - head, dtype=np.int32)
-    step[np.cumsum(layer_size) - layer_size] = layer_target + 1 - n
-    step[:1] = n - 2  # the first layer starts from 0, not from control n
-    np.cumsum(step, out=control[head:])
     return Circuit(n, GateColumns._adopt(kind, control, target, angle), Level.COMPOSITE)

@@ -130,6 +130,11 @@ def test_gate_growth_table_matches_reference_rows():
     assert rows[10] == (53, 9, 44)
 
 
+def test_gate_growth_table_rejects_small_n_max():
+    with pytest.raises(ValueError, match=r"^need n_max >= 3, got 2$"):
+        gate_growth_table(2)
+
+
 def test_gate_growth_is_quadratic():
     total_1000 = gate_growth_table(1000)[-1][1]
     assert total_1000 / 1000**2 == pytest.approx(0.500498)

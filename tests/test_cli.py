@@ -228,6 +228,13 @@ def test_growth_csv_matches_reference_counts(capsys):
     ]
 
 
+def test_growth_rejects_small_max(capsys):
+    code, out, err = cli(capsys, "growth", "--max", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n_max >= 3, got 2\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = cli(capsys, "sweep", "--n", "8", "--deltas", "1,0,0.5")
     assert code == 0

@@ -12,6 +12,7 @@ from wstates import (
     Circuit,
     F,
     Level,
+    QuantumState,
     ROT,
     apply_gate,
     basis_state,
@@ -161,6 +162,12 @@ def test_fidelity_basics():
     assert fidelity(b, a) == fidelity(a, b)
     with pytest.raises(ValueError):
         fidelity(a, basis_state(4, "VHHH"))
+
+
+def test_fidelity_of_unequal_sparse_supports_is_symmetric():
+    a = basis_state(3, "VHH", "sparse")
+    b = QuantumState(3, {4: 0.6, 2: 0.8}, "sparse")
+    assert fidelity(a, b) == fidelity(b, a) == 0.6 * 0.6
 
 
 def test_fidelity_across_backends():
@@ -386,6 +393,35 @@ def test_check_norm_names_the_last_gate_of_an_op(backend):
         run(circuit, _drifted(3, 4), backend=backend, check_norm=True)
 
 
+def test_sparse_run_of_a_dense_input_matches_the_sparse_run():
+    circuit = build_w_circuit(5)
+    via_dense = run(circuit, basis_state(5, "VHHHH", backend="dense"), backend="sparse")
+    sparse = run(circuit, basis_state(5, "VHHHH", backend="sparse"), backend="sparse")
+    assert via_dense.backend == "sparse"
+    assert list(via_dense.amplitudes.items()) == list(sparse.amplitudes.items())
+
+
+def test_run_rejects_unknown_backend():
+    with pytest.raises(ValueError, match=r"^unknown backend 'bogus'$"):
+        run(build_w_circuit(5), basis_state(5, "VHHHH"), backend="bogus")
+
+
+def test_quantum_state_rejects_wrong_dense_length():
+    with pytest.raises(ValueError, match=r"^dense amplitude array has wrong length$"):
+        QuantumState(2, [1.0, 0.0, 0.0], "dense")
+
+
+def test_quantum_state_rejects_unknown_backend():
+    with pytest.raises(ValueError, match=r"^unknown backend 'Dense'$"):
+        QuantumState(2, {0: 1.0}, "Dense")
+
+
+def test_auto_basis_state_applies_the_sparse_run_cap():
+    message = r"^sparse backend capped at 10000 qubits \(got 10001\)$"
+    with pytest.raises(CapacityError, match=message):
+        basis_state(10001, "V" + "H" * 10000)
+
+
 def test_sparse_basis_state_has_no_run_cap():
     # A storage constructor: only run() applies the backend caps.
     state = basis_state(10001, "V" + "H" * 10000, backend="sparse")
@@ -400,8 +436,6 @@ def test_basis_state_rejects_unknown_backend(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_nan_amplitudes_fail_the_norm_check(backend):
-    from wstates import QuantumState
-
     amplitudes = {1: math.nan} if backend == "sparse" else [0.0, math.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="not normalized"):
         QuantumState(2, amplitudes, backend)
