@@ -25,7 +25,6 @@ DEFAULT_EXTRA_PAIR_RATE = 1e-4
 DEFAULT_DELTAS = (0.0, 0.1, 0.2, 0.5, 1.0, 2.0)  # plate-angle offsets, degrees
 FAILURE_FIDELITY_THRESHOLD = 0.99
 LINEAR_PROBABILITY_FLOOR = -300.0  # log10 cutoff below which only logs are kept
-PLATE_ANGLE_LIMIT_DEG = 22.5
 
 
 @dataclass(frozen=True, slots=True)

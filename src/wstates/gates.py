@@ -122,10 +122,11 @@ class GateColumns(Sequence):
     kind holds uint8 codes (F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE); control
     and target hold int32 1-based wires, with control 0 on ROT rows; angle
     holds float64 mixing angles, 0.0 on CNOT and CZ rows.  The constructor
-    copies its arguments into read-only columns, so nothing the caller
-    holds can change them, and checks them against the same invariants as
-    Gate.  Indexing creates a Gate, slicing a tuple of Gates, and a
-    GateColumns compares equal to the tuple of the same Gates.
+    copies its arguments into read-only columns that nothing the caller
+    holds can change, refuses values the cast would change, and checks the
+    rest against the same invariants as Gate.  Indexing creates a Gate,
+    slicing a tuple of Gates, and a GateColumns compares equal to the tuple
+    of the same Gates.
     """
 
     __slots__ = ("kind", "control", "target", "angle")
@@ -144,10 +145,10 @@ class GateColumns(Sequence):
         return self
 
     def _freeze(self, convert, kind, control, target, angle) -> None:
-        self.kind = _frozen_column(convert, kind, np.uint8)
-        self.control = _frozen_column(convert, control, np.int32)
-        self.target = _frozen_column(convert, target, np.int32)
-        self.angle = _frozen_column(convert, angle, np.float64)
+        self.kind = _frozen_column(convert, kind, np.uint8, "gate kind codes")
+        self.control = _frozen_column(convert, control, np.int32, "control wires")
+        self.target = _frozen_column(convert, target, np.int32, "target wires")
+        self.angle = _frozen_column(convert, angle, np.float64, "angles")
         size = self.kind.shape[0]
         for col in self._columns():
             if col.shape != (size,):
@@ -215,16 +216,17 @@ def _gate_of(kind: int, control: int, target: int, angle: float) -> Gate:
     return Gate(GATE_KINDS[kind], target, control)
 
 
-def _frozen_column(convert, values, dtype) -> np.ndarray:
-    """values as a read-only column, by np.array (copy) or np.asarray."""
-    try:
-        column = convert(values, dtype=dtype)
-    except OverflowError:
-        raise ValueError(
-            f"gate column value out of range for {np.dtype(dtype)}"
-        ) from None
-    column.setflags(write=False)
-    return column
+def _frozen_column(convert, values, dtype, what: str) -> np.ndarray:
+    """values as a read-only dtype array, by convert; refuses what a cast changes."""
+    column = convert(values)
+    integral = np.issubdtype(dtype, np.integer)
+    if column.size and column.dtype.kind not in ("biu" if integral else "biuf"):
+        raise ValueError(f"{what} must be {'integers' if integral else 'real'}")
+    cast = column.astype(dtype, copy=False)
+    if integral and cast is not column and (cast != column).any():
+        raise ValueError(f"{what} out of range for {np.dtype(dtype)}")
+    cast.setflags(write=False)
+    return cast
 
 
 def columns_of(gates) -> GateColumns:
@@ -251,14 +253,13 @@ class Circuit:
     level: Level
 
     def __post_init__(self):
+        object.__setattr__(self, "level", Level(self.level))
         if self.n_qubits < 2:
             raise ValueError("circuits need at least 2 qubits")
         cols = self.gates
         if not isinstance(cols, GateColumns):
             cols = columns_of(cols)
             object.__setattr__(self, "gates", cols)
-        if len(cols) == 0:
-            return
         allowed = np.array([k in ALLOWED_KINDS[self.level] for k in GATE_KINDS])
         bad = ~allowed[cols.kind]
         if bad.any():

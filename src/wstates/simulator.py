@@ -24,11 +24,11 @@ a time in gate order.  The sparse engine keeps each key as 64-bit words
 beside an amplitude vector: a CNOT run flips the target bit where the key
 has odd parity under one mask, the XOR of the control bits (the same bits
 as one CNOT at a time), a CZ is one masked sign flip, and mix pairs rows by
-one stable sort.  Keys cross its boundary in one bytes buffer; it drops
-amplitudes below PRUNE_THRESHOLD after each mix (with this circuit family
-that only ever removes numerically-zero residue).  Its support is not known
-in advance, so it raises CapacityError before an allocation would pass
-SPARSE_ENGINE_BYTES.
+one stable sort.  Keys cross its boundary in one bytes buffer.  A mix
+appends every missing partner; _compact, which ends each mix, is the only
+place that drops rows, those below PRUNE_THRESHOLD (with this circuit family
+only numerically-zero residue).  Its support is not known in advance, so it
+raises CapacityError before an allocation would pass SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .gates import (
     Circuit,
     Gate,
     GateColumns,
+    _frozen_column,
     columns_of,
 )
 
@@ -96,13 +97,9 @@ class QuantumState:
 
     def __post_init__(self):
         if self.backend == "dense":
-            arr = np.asarray(self.amplitudes)
-            if arr.dtype.kind not in "biuf":
-                raise ValueError("amplitudes must be real")
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
             if arr.shape != (1 << self.n,):
                 raise ValueError("dense amplitude array has wrong length")
-            arr.setflags(write=False)
             object.__setattr__(self, "amplitudes", arr)
         elif self.backend == "sparse":
             bound = 1 << self.n
@@ -330,7 +327,8 @@ class _SparseEngine:
         word, bit = self._bit(target)
         # Sector = all untouched bits; each sector holds at most two rows
         # (target bit 0 and 1), mixed by R(alpha).  A row without a partner
-        # mixes with 0.0, and the partner is appended in source-row order.
+        # mixes with 0.0, and the partner is appended in source-row order;
+        # _compact then drops the rows below PRUNE_THRESHOLD.
         if rows.size <= 2:
             # The F sectors of the W network: scalars beat a dozen tiny arrays.
             rows = rows.tolist()
@@ -344,10 +342,9 @@ class _SparseEngine:
                 a0, a1 = (p, a) if one else (a, p)
                 b0, b1 = c * a0 + s * a1, s * a0 - c * a1
                 self.amps[r] = b1 if one else b0
-                other = b0 if one else b1
-                if not paired and abs(other) >= PRUNE_THRESHOLD:
+                if not paired:
                     src.append(r)
-                    vals.append(other)
+                    vals.append(b0 if one else b1)
         else:
             sub = self.keys[:, rows]
             ones = (sub[word] & bit) != 0
@@ -363,9 +360,8 @@ class _SparseEngine:
             lone[lo] = lone[hi] = False
             a0, a1 = np.where(ones, partner, amps), np.where(ones, amps, partner)
             b0, b1 = c * a0 + s * a1, s * a0 - c * a1
-            self.amps[rows], other = np.where(ones, b1, b0), np.where(ones, b0, b1)
-            add = lone & (np.abs(other) >= PRUNE_THRESHOLD)
-            src, vals = rows[add], other[add]
+            self.amps[rows] = np.where(ones, b1, b0)
+            src, vals = rows[lone], np.where(ones, b0, b1)[lone]
         end = m + len(src)
         self._grow(end)
         self.keys[:, m:end] = self.keys[:, src]

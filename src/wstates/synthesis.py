@@ -19,6 +19,7 @@ per layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,14 @@ class CountPrediction:
     cnot_gates: int
 
 
+N_MAX = math.isqrt(2 * int(sys.float_info.max))  # largest n whose ~n**2/2 gates are a float
+
+
 def _require_size(n: int) -> None:
     if n < 3:
         raise ValueError(f"unsupported size: need n >= 3, got {n}")
+    if n > N_MAX:
+        raise ValueError(f"unsupported size: need n <= {N_MAX:.4g}, whose gate count is a float")
 
 
 def _coupler_alpha(n: int, j: int) -> float:

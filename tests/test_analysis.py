@@ -14,6 +14,7 @@ from wstates import (
     plate_angle_table,
     resource_report,
 )
+from wstates.synthesis import N_MAX
 
 TABLE_ROWS = [(3, 4, 2, 2), (4, 8, 3, 5), (5, 13, 4, 9), (6, 19, 5, 14), (7, 26, 6, 20)]
 
@@ -64,6 +65,16 @@ def test_resource_report_rejects_bad_probability(p):
 def test_resource_report_rejects_small_n():
     with pytest.raises(ValueError, match="unsupported size"):
         resource_report(2)
+
+
+def test_reports_stop_where_the_gate_count_leaves_the_floats():
+    n = N_MAX
+    assert resource_report(n).elementary_cnots == (n * (n + 1) - 4) // 2
+    for huge in (n + 1, 10**309):
+        with pytest.raises(ValueError, match="need n <= 1.896e"):
+            resource_report(huge)
+        with pytest.raises(ValueError, match="need n <= 1.896e"):
+            pdc_rates(huge, PdcModel(gamma=0.5))
 
 
 def test_pdc_rates_examples():

@@ -331,6 +331,18 @@ def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
+def test_analyze_past_the_float_range_exits_2(capsys):
+    code, out, err = cli(capsys, "analyze", "--n", str(10**200))
+    assert code == 2 and out == ""
+    assert err == "error: unsupported size: need n <= 1.896e+154, whose gate count is a float\n"
+    code, out, _ = cli(capsys, "analyze", "--n", str(10**150), "--gamma", "0.1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["elementary_cnots"] == (10**150 * (10**150 + 1) - 4) // 2
+    assert report["log10_success_probability"] == -4.7712125472e299
+    assert report["pdc"]["log10_desired"] == -1e150
+
+
 def test_analyze_reports_without_building(monkeypatch, capsys):
     import wstates.analysis
 

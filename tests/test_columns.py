@@ -10,9 +10,12 @@ from wstates import (
     Circuit,
     CircuitParseError,
     F,
+    Gate,
     GateColumns,
     Level,
     ROT,
+    apply_gate,
+    basis_state,
     build_w_circuit,
     parse_circuit,
     predicted_counts,
@@ -72,11 +75,42 @@ def test_circuit_equality_and_hash_follow_the_gates():
         (([CNOT_CODE], [1], [2], [0.5]), "no angle"),
         (([CNOT_CODE, CNOT_CODE], [1], [2], [0.0]), "equal length"),
         (([CNOT_CODE], [1], [2**40], [0.0]), "out of range"),
+        # Values a cast would change: truncated, wrapped or parsed.
+        (([CNOT_CODE], [1.7], [2], [0.0]), "control wires must be integers"),
+        (([1.9], [1], [2], [0.0]), "gate kind codes must be integers"),
+        (([ROT_CODE], [0], [2], ["0.5"]), "angles must be real"),
+        (([ROT_CODE], [0], [2], [0.5 + 0j]), "angles must be real"),
+        (([CNOT_CODE], np.array([2**32 + 2]), [1], [0.0]), "out of range"),
+        ((np.array([258]), [1], [2], [0.0]), "out of range"),
     ],
 )
 def test_invalid_columns_rejected(columns, message):
     with pytest.raises(ValueError, match=message):
         GateColumns(*columns)
+
+
+def test_empty_columns_build():
+    gates = GateColumns([], [], [], [])
+    assert len(gates) == 0 and gates == ()
+    assert gates.kind.dtype == np.uint8 and gates.angle.dtype == np.float64
+
+
+def test_float_wire_of_a_gate_is_rejected():
+    gate = Gate("CNOT", 2.5, 1)
+    with pytest.raises(ValueError, match="target wires must be integers"):
+        Circuit(3, (gate,), Level.COMPOSITE)
+    with pytest.raises(ValueError, match="target wires must be integers"):
+        apply_gate(basis_state(3, "VHH"), gate)
+
+
+def test_circuit_checks_its_level():
+    with pytest.raises(ValueError, match="not a valid Level"):
+        Circuit(2, (), "x")
+    with pytest.raises(ValueError, match="not a valid Level"):
+        Circuit(2, (CNOT(1, 2),), "x")
+    circuit = Circuit(2, (CNOT(1, 2),), 2)
+    assert circuit.level is Level.COMPOSITE
+    assert repr(circuit) == "Circuit(n_qubits=2, level=COMPOSITE, gates=<1>)"
 
 
 def test_circuit_checks_columns_against_level_and_size():

@@ -175,6 +175,33 @@ def test_w_network_matches_the_oracle(n, level):
     assert list(out.amplitudes.items()) == _oracle(n, circuit.gates, bits)
 
 
+# Mixes whose lone partner falls below PRUNE_THRESHOLD, from |VH...H>: a row
+# mixed by R(alpha) splits off sin(alpha) * a, exactly 0.0 at alpha = 0 and
+# about 1.2e-16 * a at alpha = pi, while R(pi/2) leaves the row itself at
+# about 6e-17 * a.  Selections of up to two rows take mix's scalar path,
+# larger ones its vector path; the last two cases cross 64-bit word boundaries.
+_RAMP = (ROT(1, 0.7), ROT(2, 0.3))  # four rows from any basis input
+SUB_THRESHOLD_MIXES = [
+    (3, Level.ELEMENTARY, (ROT(2, math.pi / 2),)),
+    (3, Level.ELEMENTARY, (ROT(2, math.pi),)),
+    (3, Level.COMPOSITE, (F(1, 2, 0.0),)),
+    (3, Level.COMPOSITE, (F(1, 2, 0.7), F(1, 3, 0.0), F(2, 3, math.pi))),
+    (3, Level.ELEMENTARY, _RAMP + (ROT(3, math.pi / 2),)),
+    (3, Level.ELEMENTARY, _RAMP + (ROT(3, math.pi), ROT(3, 0.0))),
+    (4, Level.COMPOSITE, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 4, 0.0), F(1, 4, math.pi))),
+    (65, Level.ELEMENTARY, (ROT(64, 0.7), ROT(2, 0.3), ROT(65, math.pi), ROT(1, math.pi / 2))),
+    (130, Level.COMPOSITE, (F(1, 64, 0.7), F(64, 65, 0.3), F(1, 129, 0.0), F(1, 130, math.pi))),
+]
+
+
+@pytest.mark.parametrize("n, level, gates", SUB_THRESHOLD_MIXES)
+def test_sub_threshold_partners_match_the_oracle(n, level, gates):
+    bits = "V" + "H" * (n - 1)
+    out = run(Circuit(n, gates, level), basis_state(n, bits, backend="sparse"))
+    assert list(out.amplitudes.items()) == _oracle(n, gates, bits)
+    assert all(abs(a) >= PRUNE_THRESHOLD for a in out.amplitudes.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(_circuits(Level.COMPOSITE))
 def test_lowering_random_composite_circuits_keeps_the_unitary(drawn):
