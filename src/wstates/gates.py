@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -220,13 +222,25 @@ def _frozen_column(convert, values, dtype, what: str) -> np.ndarray:
     """values as a read-only dtype array, by convert; refuses what a cast changes."""
     column = convert(values)
     integral = np.issubdtype(dtype, np.integer)
+    out_of_range = f"{what} out of range for {np.dtype(dtype)}"
     if column.size and column.dtype.kind not in ("biu" if integral else "biuf"):
+        # numpy holds an integer past 64 bits as an object.
+        if integral and all(isinstance(v, numbers.Integral) for v in column.flat):
+            raise ValueError(out_of_range)
         raise ValueError(f"{what} must be {'integers' if integral else 'real'}")
     cast = column.astype(dtype, copy=False)
     if integral and cast is not column and (cast != column).any():
-        raise ValueError(f"{what} out of range for {np.dtype(dtype)}")
+        raise ValueError(out_of_range)
     cast.setflags(write=False)
     return cast
+
+
+def _qubit_count(n) -> int:
+    """n as a plain int; ValueError if it is not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"qubit count {n!r} is not an integer") from None
 
 
 def columns_of(gates) -> GateColumns:
@@ -254,6 +268,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "level", Level(self.level))
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         if self.n_qubits < 2:
             raise ValueError("circuits need at least 2 qubits")
         cols = self.gates

@@ -19,16 +19,18 @@ consecutive CNOTs that share a target, is one op, every other gate its own.
 Its loop is the only op loop and the only branch on gate kind; with
 check_norm it checks the norm after each op.  An engine only says how to
 apply an op, through cnots(controls, target), cz(control, target) and
-mix(control or None, target, angle).  The dense engine swaps one control at
-a time in gate order.  The sparse engine keeps each key as 64-bit words
-beside an amplitude vector: a CNOT run flips the target bit where the key
-has odd parity under one mask, the XOR of the control bits (the same bits
-as one CNOT at a time), a CZ is one masked sign flip, and mix pairs rows by
-one stable sort.  Keys cross its boundary in one bytes buffer.  A mix
-appends every missing partner; _compact, which ends each mix, is the only
-place that drops rows, those below PRUNE_THRESHOLD (with this circuit family
-only numerically-zero residue).  Its support is not known in advance, so it
-raises CapacityError before an allocation would pass SPARSE_ENGINE_BYTES.
+mix(control or None, target, angle).  A CNOT run flips the target where
+the controls that occur an odd number of times have odd parity (the same
+bits as one CNOT at a time).  The dense engine splits it on the first of
+them and swaps each quarter's target halves under one parity mask of the
+rest, in scratch it owns, so no op allocates.  The sparse engine keeps each
+key as 64-bit words beside an amplitude vector: a CNOT run is one parity
+mask, the XOR of the control bits, a CZ is one masked sign flip, and mix
+pairs rows by one stable sort.  Keys cross its boundary in one bytes buffer.
+A mix appends every missing partner; _compact, which ends each mix, is the
+only place that drops rows, those below PRUNE_THRESHOLD (numerically-zero
+residue with this circuit family).  Its support is not known in advance, so
+it raises CapacityError before an allocation would pass SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .gates import (
     Gate,
     GateColumns,
     _frozen_column,
+    _qubit_count,
     columns_of,
 )
 
@@ -96,6 +99,7 @@ class QuantumState:
     backend: str
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _qubit_count(self.n))
         if self.backend == "dense":
             arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
             if arr.shape != (1 << self.n,):
@@ -204,12 +208,11 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 # --- engines: cnots, cz, mix, live, amplitudes ----------------------------
 
-def _ix(n: int, target: int, bit: int, control: int | None = None):
-    """Index of the target=bit half of an n-axis tensor, or its control=1 quarter."""
-    idx: list = [slice(None)] * n
-    if control is not None:
-        idx[control - 1] = 1
-    idx[target - 1] = bit
+def _ix(t: np.ndarray, *held: tuple[int, int]) -> tuple:
+    """Index into t where each (qubit, bit) is held, at length 1, so no view is 0-d."""
+    idx = [slice(None)] * t.ndim
+    for qubit, bit in held:
+        idx[qubit - 1] = slice(bit, bit + 1)
     return tuple(idx)
 
 
@@ -217,36 +220,67 @@ class _DenseEngine:
     """Run-private copy of a dense amplitude array, viewed as n axes."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
-        self.n = n
-        self.vec = amplitudes.copy()
-        self.t = self.vec.reshape((2,) * n)
+        self.t = amplitudes.reshape((2,) * n).copy()
+        self.scratch = {np.float64: np.empty(0), np.bool_: np.empty(0, bool)}
+
+    def _scratch(self, dtype, shape: tuple) -> np.ndarray:
+        # Kept at the largest size an op has needed, so an op allocates nothing.
+        size = math.prod(shape)
+        if self.scratch[dtype].size < size:
+            self.scratch[dtype] = np.empty(size, dtype)
+        return self.scratch[dtype][:size].reshape(shape)
+
+    def _swap(self, held: tuple[int, int], target: int, where) -> None:
+        a, b = (self.t[_ix(self.t, held, (target, bit))] for bit in (0, 1))
+        # Through buffers: a copy between two views of one array would make
+        # numpy allocate an overlap temporary.
+        tmp_a, tmp_b = self._scratch(np.float64, (2, *a.shape))
+        np.copyto(tmp_a, a)
+        np.copyto(tmp_b, b)
+        np.copyto(a, tmp_b, where=where)
+        np.copyto(b, tmp_a, where=where)
 
     def cnots(self, controls: np.ndarray, target: int) -> None:
-        t = self.t
-        for control in controls.tolist():
-            i10 = _ix(self.n, target, 0, control)
-            i11 = _ix(self.n, target, 1, control)
-            tmp = t[i10].copy()
-            t[i10] = t[i11]
-            t[i11] = tmp
+        """Flip the target where the odd-count controls have odd parity."""
+        odd = np.flatnonzero(np.bincount(controls) & 1).tolist()
+        if not odd:
+            return
+        # In the quarter where the first of them is b, swap the target halves
+        # where the rest have parity 1 - b, which is 0 if there is no rest.
+        first, rest = odd[0], odd[1:]
+        where = True
+        if rest:
+            where = self._scratch(np.bool_, self.t[_ix(self.t, (first, 0), (target, 0))].shape)
+            where.fill(False)
+            for control in rest:
+                ones = where[_ix(where, (control, 1))]
+                np.logical_not(ones, out=ones)
+            self._swap((first, 0), target, where)
+            np.logical_not(where, out=where)
+        self._swap((first, 1), target, where)
 
     def cz(self, control: int, target: int) -> None:
-        self.t[_ix(self.n, target, 1, control)] *= -1.0
+        self.t[_ix(self.t, (control, 1), (target, 1))] *= -1.0
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
-        t = self.t
-        i0 = _ix(self.n, target, 0, control)
-        i1 = _ix(self.n, target, 1, control)
+        held = () if control is None else ((control, 1),)
+        a, b = (self.t[_ix(self.t, *held, (target, bit))] for bit in (0, 1))
         c, s = math.cos(alpha), math.sin(alpha)
-        a0 = t[i0].copy()
-        t[i0] = c * a0 + s * t[i1]
-        t[i1] = s * a0 - c * t[i1]
+        # a, b = c * a + s * b, s * a - c * b: every operand is a buffer or
+        # the output itself, so numpy needs no temporary.
+        sa, sb = self._scratch(np.float64, (2, *a.shape))
+        np.multiply(a, s, out=sa)
+        np.multiply(a, c, out=a)
+        np.multiply(b, s, out=sb)
+        np.add(a, sb, out=a)
+        np.multiply(b, c, out=b)
+        np.subtract(sa, b, out=b)
 
     def live(self) -> np.ndarray:
-        return self.vec
+        return self.t.reshape(-1)
 
     def amplitudes(self) -> np.ndarray:
-        return self.vec
+        return self.t.reshape(-1)
 
 
 class _SparseEngine:
@@ -405,8 +439,8 @@ def _fusion_plan(gates: GateColumns) -> np.ndarray:
     target is one op, every other gate is its own op.
 
     A run can be applied as one op, exactly: no control of the run is its
-    target, so no CNOT of the run changes a control, and the CNOTs commute
-    (so is the sparse engine's parity under the XOR of the control bits).
+    target, so no CNOT of the run changes a control, and the CNOTs commute:
+    both engines flip the target once, under the parity of the controls.
     """
     cnot = gates.kind == CNOT_CODE
     joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])

@@ -137,11 +137,13 @@ def test_criterion_08_angle_sensitivity_properties():
 
 def test_criterion_09_backend_and_oracle_equivalence():
     for n in range(3, 13):
-        circuit = build_w_circuit(n)
-        dense = run(circuit, _prep_input(n, "dense"), backend="dense")
-        sparse = run(circuit, _prep_input(n, "sparse"), backend="sparse")
-        diff = np.abs(dense.amplitudes - sparse.to_dense().amplitudes)
-        assert float(diff.max()) < 1e-12, n
+        composite = build_w_circuit(n)
+        for level in Level:
+            circuit = composite if level == Level.COMPOSITE else lower(composite, level)
+            dense = run(circuit, _prep_input(n, "dense"), backend="dense")
+            sparse = run(circuit, _prep_input(n, "sparse"), backend="sparse")
+            diff = np.abs(dense.amplitudes - sparse.to_dense().amplitudes)
+            assert float(diff.max()) < 1e-12, (n, level.name)
     rng = np.random.default_rng(2024)
     for n in range(3, 9):
         circuit = build_w_circuit(n)
@@ -150,7 +152,7 @@ def test_criterion_09_backend_and_oracle_equivalence():
             bits = format(int(b), f"0{n}b")
             out = run(circuit, basis_state(n, bits, backend="dense"), backend="dense")
             assert float(np.abs(out.amplitudes - u[:, int(b)]).max()) < 1e-12, (n, bits)
-    _passed(9, "dense == sparse (n <= 12) and simulator == unitary oracle (n <= 8)")
+    _passed(9, "dense == sparse at every level (n <= 12) and simulator == unitary oracle (n <= 8)")
 
 
 def test_criterion_10_sparsity_bound():

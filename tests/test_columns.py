@@ -13,12 +13,14 @@ from wstates import (
     Gate,
     GateColumns,
     Level,
+    QuantumState,
     ROT,
     apply_gate,
     basis_state,
     build_w_circuit,
     parse_circuit,
     predicted_counts,
+    run,
 )
 from wstates.gates import CNOT_CODE, F_CODE, ROT_CODE, columns_of
 from wstates.simulator import _fusion_plan
@@ -82,6 +84,9 @@ def test_circuit_equality_and_hash_follow_the_gates():
         (([ROT_CODE], [0], [2], [0.5 + 0j]), "angles must be real"),
         (([CNOT_CODE], np.array([2**32 + 2]), [1], [0.0]), "out of range"),
         ((np.array([258]), [1], [2], [0.0]), "out of range"),
+        # Past 64 bits numpy holds an int as an object: still out of range.
+        (([CNOT_CODE], [1], [2**70], [0.0]), "target wires out of range for int32"),
+        (([CNOT_CODE], [-(2**70)], [2], [0.0]), "control wires out of range for int32"),
     ],
 )
 def test_invalid_columns_rejected(columns, message):
@@ -101,6 +106,21 @@ def test_float_wire_of_a_gate_is_rejected():
         Circuit(3, (gate,), Level.COMPOSITE)
     with pytest.raises(ValueError, match="target wires must be integers"):
         apply_gate(basis_state(3, "VHH"), gate)
+
+
+def test_qubit_count_must_be_an_integer():
+    for build in (
+        lambda: Circuit(2.5, (Gate("CNOT", 1, 2),), Level.COMPOSITE),
+        lambda: basis_state(2.0, "VH"),
+        lambda: QuantumState(2.0, {1: 1.0}, "sparse"),
+        lambda: QuantumState("2", np.array([0.0, 1.0, 0.0, 0.0]), "dense"),
+    ):
+        with pytest.raises(ValueError, match="qubit count .* is not an integer"):
+            build()
+    circuit = Circuit(np.int64(3), (CNOT(1, 2),), Level.COMPOSITE)
+    state = basis_state(np.int32(3), "VHH", backend="sparse")
+    assert type(circuit.n_qubits) is int and type(state.n) is int
+    assert run(circuit, state).amplitudes == {0b110: 1.0}
 
 
 def test_circuit_checks_its_level():

@@ -136,6 +136,14 @@ def _check_three_ways(circuit, bits):
 @example((3, (F(1, 2, 0.7), F(1, 3, 0.3)), "100"))
 @example((4, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 4, 0.5)), "1000"))
 @example((3, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 3, 0.5)), "100"))
+# Fused CNOT runs on the dense engine: a run whose one control occurs twice
+# cancels; a control that occurs three times counts once; controls on both
+# sides of the target; and n=2, where a quarter holds one amplitude.
+@example((3, (F(1, 3, 0.7), CNOT(3, 2), CNOT(3, 2)), "100"))
+@example((4, (F(1, 2, 0.7), F(1, 3, 0.4), CNOT(2, 4), CNOT(3, 4), CNOT(2, 4), CNOT(2, 4)), "1000"))
+@example((5, (F(1, 2, 0.7), F(1, 4, 0.3), F(4, 5, 0.9), CNOT(2, 3), CNOT(5, 3), CNOT(4, 3)), "10000"))
+@example((2, (F(1, 2, 0.7), CNOT(2, 1)), "10"))
+@example((2, (CNOT(1, 2), CNOT(1, 2), CNOT(1, 2)), "10"))
 def test_composite_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.COMPOSITE), bits)
@@ -143,6 +151,7 @@ def test_composite_circuits_agree_three_ways(drawn):
 
 @settings(max_examples=80, deadline=None)
 @given(_circuits(Level.CZ_LEVEL))
+@example((2, (ROT(1, 0.7), ROT(2, 0.3), CZ(1, 2), CNOT(2, 1)), "00"))
 def test_cz_level_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.CZ_LEVEL), bits)
@@ -150,6 +159,7 @@ def test_cz_level_circuits_agree_three_ways(drawn):
 
 @settings(max_examples=80, deadline=None)
 @given(_circuits(Level.ELEMENTARY))
+@example((2, (ROT(1, 0.7), CNOT(1, 2), ROT(2, 0.3), CNOT(2, 1)), "01"))
 def test_elementary_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates, Level.ELEMENTARY), bits)

@@ -264,6 +264,24 @@ def test_dense_capacity_enforced():
         _input(40, "sparse").to_dense()
 
 
+def test_dense_run_peak_is_the_state_and_its_scratch():
+    import tracemalloc
+
+    # The engine's copy of the state, two quarter-size float buffers and one
+    # quarter-size bool mask, plus 0.5 MiB for the op plan and the views.
+    n = 20
+    circuit = build_w_circuit(n)
+    state = _input(n, "dense")
+    bound = 8 * 2**n + 2 * 8 * 2 ** (n - 2) + 2 ** (n - 2) + 2**19
+    tracemalloc.start()
+    try:
+        run(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
+
+
 def test_sparse_support_budget(monkeypatch):
     import wstates.simulator
 
