@@ -31,16 +31,14 @@ from .gates import (
     rotation_matrix,
     unitary_of,
 )
-from .lowering import lower, lower_cz, lower_f
+from .lowering import lower
 from .simulator import (
     QuantumState,
-    apply_gate,
     basis_state,
     bits_of,
     dump_state,
     encode_bits,
     fidelity,
-    pick_backend,
     run,
     w_reference,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SensitivityRecord",
     "angle_schedule",
     "angle_sensitivity",
-    "apply_gate",
     "basis_state",
     "bits_of",
     "build_w_circuit",
@@ -87,11 +84,8 @@ __all__ = [
     "gate_matrix",
     "load_circuit",
     "lower",
-    "lower_cz",
-    "lower_f",
     "parse_circuit",
     "pdc_rates",
-    "pick_backend",
     "plate_angle_table",
     "predicted_counts",
     "resource_report",

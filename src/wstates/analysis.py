@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import F_CODE, Circuit, GateColumns
+from .gates import F_CODE, Circuit, GateColumns, _qubit_count
 from .lowering import lower  # unused here; wbench/tracer.py wraps analysis.lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
 from .synthesis import (CountPrediction, _coupler_alpha, _require_size, build_w_circuit,
@@ -70,6 +70,7 @@ def resource_report(n: int, gate_success_prob: float = DEFAULT_GATE_SUCCESS) -> 
     circuit has exactly total_two_qubit CNOTs (the tests lower to check)."""
     if not 0.0 < gate_success_prob <= 1.0:
         raise ValueError(f"gate success probability must be in (0, 1], got {gate_success_prob}")
+    n = _require_size(n)
     pred = predicted_counts(n)
     elementary_cnots = pred.total_two_qubit
     log10_p = elementary_cnots * math.log10(gate_success_prob)
@@ -80,13 +81,14 @@ def resource_report(n: int, gate_success_prob: float = DEFAULT_GATE_SUCCESS) -> 
 def pdc_rates(n: int, model: PdcModel) -> tuple[float, float]:
     """(log10 desired-event rate, log10 error rate) for n source photons:
     gamma**n and gamma**n * delta."""
-    _require_size(n)
+    n = _require_size(n)
     desired = n * math.log10(model.gamma)
     return desired, desired + math.log10(model.delta)
 
 
 def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
     """First-plate angle arccos(1/sqrt(n))/4 in degrees for n = 3..n_max."""
+    n_max = _qubit_count(n_max)
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     return [(n, math.degrees(_coupler_alpha(n, 1) / 4.0)) for n in range(3, n_max + 1)]
@@ -94,6 +96,7 @@ def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
 
 def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:
     """(n, total, f_count, cnot_count) rows for n = 3..n_max."""
+    n_max = _qubit_count(n_max)
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     rows = []
@@ -126,12 +129,13 @@ def angle_sensitivity(
     |VH...H>, and the resulting fidelity recorded.  Records come back
     sorted by delta.
     """
-    _require_size(n)  # before the position check reads n
+    n = _require_size(n)  # before the position check reads n
     if not 1 <= gate_position <= n - 1:
         raise ValueError(
             f"gate position must be in [1, {n - 1}], got {gate_position}"
         )
-    for d in delta_degrees:
+    deltas = sorted(delta_degrees)  # once: an iterator is spent after one pass
+    for d in deltas:
         if not math.isfinite(d):
             raise ValueError("perturbations must be finite")
     backend = resolve_backend(n, backend)
@@ -139,7 +143,7 @@ def angle_sensitivity(
     input_state = basis_state(n, "V" + "H" * (n - 1), backend=backend)
     reference = w_reference(n)
     records = []
-    for d in sorted(delta_degrees):
+    for d in deltas:
         circuit = _perturbed_circuit(base, gate_position, d)
         out = run(circuit, input_state)
         records.append(SensitivityRecord(n, gate_position, d, fidelity(out, reference)))

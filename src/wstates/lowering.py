@@ -2,9 +2,9 @@
 
 Levels descend COMPOSITE -> CZ_LEVEL -> ELEMENTARY.  Each pass rewrites
 gates in place, preserving order, by one repeat-and-fill over the gate
-columns.  lower() holds the only copy of each rule; lower_f and lower_cz
-run it on a one-gate circuit.  Adjacent ROTs are deliberately not merged,
-so a fully lowered F gate keeps the 4-plates-plus-CNOT structure
+columns.  lower() holds the only copy of each rule; lowering a one-gate
+circuit shows that gate's decomposition.  Adjacent ROTs are deliberately
+not merged, so a fully lowered F gate keeps the 4-plates-plus-CNOT structure
 [ROT, ROT, CNOT, ROT, ROT] on its target wire.
 """
 from __future__ import annotations
@@ -13,22 +13,7 @@ import math
 
 import numpy as np
 
-from .gates import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Circuit, Gate, GateColumns, Level
-
-
-def lower_f(g: Gate) -> list[Gate]:
-    """F(c,t,alpha) = ROT(t,alpha/2) CZ(c,t) ROT(t,alpha/2), since
-    R(b) Z R(b) = R(2b) on the control=1 block and R(b)**2 = I elsewhere."""
-    if g.kind != "F":
-        raise TypeError(f"lower_f expects an F gate, got {g.kind}")
-    return list(lower(Circuit(max(g.qubits), (g,), Level.COMPOSITE), Level.CZ_LEVEL).gates)
-
-
-def lower_cz(g: Gate) -> list[Gate]:
-    """CZ(c,t) = ROT(t,pi/4) CNOT(c,t) ROT(t,pi/4), i.e. H X H = Z."""
-    if g.kind != "CZ":
-        raise TypeError(f"lower_cz expects a CZ gate, got {g.kind}")
-    return list(lower(Circuit(max(g.qubits), (g,), Level.CZ_LEVEL), Level.ELEMENTARY).gates)
+from .gates import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Circuit, GateColumns, Level
 
 
 def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) -> Circuit:
@@ -54,6 +39,7 @@ def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) 
 
 def lower(circuit: Circuit, target: Level) -> Circuit:
     """Rewrite the circuit down to the target level (pure; idempotent)."""
+    target = Level(target)
     if target > circuit.level:
         raise ValueError(
             f"invalid lowering: {circuit.level.name} cannot be raised "
@@ -61,8 +47,11 @@ def lower(circuit: Circuit, target: Level) -> Circuit:
         )
     result = circuit
     if result.level == Level.COMPOSITE and target < Level.COMPOSITE:
+        # F(c,t,alpha) = ROT(t,alpha/2) CZ(c,t) ROT(t,alpha/2), since R(b) Z R(b)
+        # = R(2b) on the control=1 block and R(b)**2 = I elsewhere.
         result = _rewrite(result, F_CODE, CZ_CODE, lambda a: a / 2.0, Level.CZ_LEVEL)
     if result.level == Level.CZ_LEVEL and target < Level.CZ_LEVEL:
+        # CZ(c,t) = ROT(t,pi/4) CNOT(c,t) ROT(t,pi/4), since H X H = Z.
         result = _rewrite(
             result, CZ_CODE, CNOT_CODE, lambda a: math.pi / 4, Level.ELEMENTARY
         )

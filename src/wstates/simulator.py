@@ -12,8 +12,8 @@ and is the only qubit-cap check: the caps are the constants DENSE_QUBIT_CAP
 and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its dense storage
 through it too, as does basis_state for every backend but "sparse", which
 is storage only and has no run cap.
-run converts the input to that backend's storage and, like apply_gate,
-hands it to _execute.  _execute reads the gate columns (see gates.py) and
+run converts the input to that backend's storage and hands it to _execute,
+its only caller.  _execute reads the gate columns (see gates.py) and
 plans the ops once with _fusion_plan: each fan-in layer, a maximal run of
 consecutive CNOTs that share a target, is one op, every other gate its own.
 Its loop is the only op loop and the only branch on gate kind; with
@@ -47,11 +47,9 @@ from .gates import (
     CZ_CODE,
     F_CODE,
     Circuit,
-    Gate,
     GateColumns,
     _frozen_column,
     _qubit_count,
-    columns_of,
 )
 
 DENSE_QUBIT_CAP = 24
@@ -78,10 +76,6 @@ def encode_bits(bits: str) -> int:
         else:
             raise ValueError(f"bad polarization character {ch!r}")
     return index
-
-
-def pick_backend(n: int) -> str:
-    return "dense" if n <= AUTO_DENSE_MAX else "sparse"
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -186,6 +180,7 @@ def basis_state(n: int, bits: str, backend: str = "auto") -> QuantumState:
 
 def w_reference(n: int) -> QuantumState:
     """The n-qubit target: amplitude 1/sqrt(n) on each single-V basis state."""
+    n = _qubit_count(n)
     if n < 2:
         raise ValueError(f"reference state needs n >= 2, got {n}")
     amp = 1.0 / math.sqrt(n)
@@ -421,11 +416,11 @@ class _SparseEngine:
 # --- public execution API -------------------------------------------------
 
 def resolve_backend(n: int, backend: str) -> str:
-    """The backend, "dense" or "sparse", that runs n qubits: "auto" maps
-    through pick_backend, and CapacityError is raised if the backend cannot
-    run n qubits.  Cheap, so callers resolve before building anything."""
+    """The backend, "dense" or "sparse", that runs n qubits: "auto" is dense
+    up to AUTO_DENSE_MAX qubits, and CapacityError is raised if the backend
+    cannot run n qubits.  Cheap, so callers resolve before building anything."""
     if backend == "auto":
-        backend = pick_backend(n)
+        backend = "dense" if n <= AUTO_DENSE_MAX else "sparse"
     cap = {"dense": DENSE_QUBIT_CAP, "sparse": SPARSE_QUBIT_CAP}.get(backend)
     if cap is None:
         raise ValueError(f"unknown backend {backend!r}")
@@ -487,7 +482,7 @@ def run(
 
     backend None keeps the input's backend; "auto" picks dense for
     n <= AUTO_DENSE_MAX, sparse above.  Deterministic: identical inputs
-    give bit-identical outputs.
+    give bit-identical outputs.  A one-gate circuit steps a state by a gate.
     """
     if circuit.n_qubits != state.n:
         raise ValueError(
@@ -496,13 +491,6 @@ def run(
     chosen = resolve_backend(state.n, backend or state.backend)
     state = state.to_dense() if chosen == "dense" else state.to_sparse()
     return _execute(state, circuit.gates, check_norm)
-
-
-def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
-    """Apply a single gate, staying on the state's backend."""
-    if gate.target > state.n or (gate.control is not None and gate.control > state.n):
-        raise ValueError(f"gate {gate} exceeds {state.n} qubits")
-    return _execute(state, columns_of((gate,)), check_norm=False)
 
 
 def dump_state(state: QuantumState) -> str:

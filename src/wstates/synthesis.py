@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import CNOT_CODE, F_CODE, Circuit, GateColumns, Level
+from .gates import CNOT_CODE, F_CODE, Circuit, GateColumns, Level, _qubit_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +59,14 @@ class CountPrediction:
 N_MAX = math.isqrt(2 * int(sys.float_info.max))  # largest n whose ~n**2/2 gates are a float
 
 
-def _require_size(n: int) -> None:
+def _require_size(n: int) -> int:
+    """n as a plain int, once it is a size the network is defined for."""
+    n = _qubit_count(n)
     if n < 3:
         raise ValueError(f"unsupported size: need n >= 3, got {n}")
     if n > N_MAX:
         raise ValueError(f"unsupported size: need n <= {N_MAX:.4g}, whose gate count is a float")
+    return n
 
 
 def _coupler_alpha(n: int, j: int) -> float:
@@ -81,7 +84,7 @@ def angle_schedule(n: int) -> AngleSchedule:
     amplitudes it splits off are 1/sqrt(k) and sqrt((k-1)/k) for
     k = n - j + 1, which telescope into the uniform 1/sqrt(n) weights.
     """
-    _require_size(n)
+    n = _require_size(n)
     entries = []
     for j in range(1, n):
         alpha = _coupler_alpha(n, j)
@@ -90,14 +93,14 @@ def angle_schedule(n: int) -> AngleSchedule:
 
 
 def predicted_counts(n: int) -> CountPrediction:
-    _require_size(n)
+    n = _require_size(n)
     total = (n * (n + 1) - 4) // 2
     return CountPrediction(total, n - 1, (n - 2) * (n + 1) // 2)
 
 
 def build_w_circuit(n: int) -> Circuit:
     """The composite-level n-qubit W-state preparation circuit."""
-    _require_size(n)
+    n = _require_size(n)
     size = predicted_counts(n).total_two_qubit
     kind = np.full(size, CNOT_CODE, dtype=np.uint8)
     angle = np.zeros(size)

@@ -156,13 +156,13 @@ def test_criterion_09_backend_and_oracle_equivalence():
 
 
 def test_criterion_10_sparsity_bound():
-    from wstates import apply_gate
+    from stepping import step
 
     for n in range(3, 65):
         state = _prep_input(n, "sparse")
         peak = 1
         for g in build_w_circuit(n).gates:
-            state = apply_gate(state, g)
+            state = step(state, g)
             peak = max(peak, state.support_size())
         assert peak <= n, (n, peak)
     _passed(10, "sparse support never exceeds n for n in [3, 64]")

@@ -1,6 +1,7 @@
 """Resource reports, PDC rates, angle tables, and sensitivity sweeps."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +10,13 @@ from wstates import (
     SensitivityRecord,
     angle_schedule,
     angle_sensitivity,
+    build_w_circuit,
     gate_growth_table,
     pdc_rates,
     plate_angle_table,
+    predicted_counts,
     resource_report,
+    w_reference,
 )
 from wstates.synthesis import N_MAX
 
@@ -225,6 +229,35 @@ def test_sensitivity_records_sorted_by_delta():
 def test_sensitivity_rejects_unknown_position(position):
     with pytest.raises(ValueError):
         angle_sensitivity(6, position, (0.0,))
+
+
+def test_sensitivity_takes_its_offsets_from_a_generator():
+    records = angle_sensitivity(5, 1, (d for d in (1.0, 0.0)), backend="dense")
+    assert [r.delta_plate_angle for r in records] == [0.0, 1.0]
+    assert records == angle_sensitivity(5, 1, (1.0, 0.0), backend="dense")
+
+
+SIZED = {
+    "angle_schedule": angle_schedule,
+    "predicted_counts": predicted_counts,
+    "build_w_circuit": build_w_circuit,
+    "pdc_rates": lambda n: pdc_rates(n, PdcModel(0.5)),
+    "angle_sensitivity": lambda n: angle_sensitivity(n, 1, (0.0,)),
+    "resource_report": resource_report,
+    "plate_angle_table": plate_angle_table,
+    "gate_growth_table": gate_growth_table,
+    "w_reference": w_reference,
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_sizes_must_be_integers(name):
+    call = SIZED[name]
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(4.5)
+    # An integer numpy scalar is taken as the plain int: the repr of a
+    # numpy scalar differs, so none reaches the result.
+    assert repr(call(np.int64(5))) == repr(call(5))
 
 
 def test_sensitivity_rejects_non_finite_offsets():

@@ -15,7 +15,6 @@ from wstates import (
     Level,
     QuantumState,
     ROT,
-    apply_gate,
     basis_state,
     build_w_circuit,
     parse_circuit,
@@ -24,6 +23,8 @@ from wstates import (
 )
 from wstates.gates import CNOT_CODE, F_CODE, ROT_CODE, columns_of
 from wstates.simulator import _fusion_plan
+
+from stepping import step
 
 MIXED = (F(1, 2, 0.5), CNOT(3, 1), CZ(2, 3), ROT(3, -0.0), ROT(1, 1.25))
 
@@ -105,7 +106,7 @@ def test_float_wire_of_a_gate_is_rejected():
     with pytest.raises(ValueError, match="target wires must be integers"):
         Circuit(3, (gate,), Level.COMPOSITE)
     with pytest.raises(ValueError, match="target wires must be integers"):
-        apply_gate(basis_state(3, "VHH"), gate)
+        step(basis_state(3, "VHH"), gate)
 
 
 def test_qubit_count_must_be_an_integer():

@@ -19,7 +19,6 @@ from wstates import (
     F,
     Level,
     ROT,
-    apply_gate,
     basis_state,
     build_w_circuit,
     encode_bits,
@@ -28,6 +27,8 @@ from wstates import (
     unitary_of,
 )
 from wstates.simulator import PRUNE_THRESHOLD
+
+from stepping import step
 
 ANGLES = st.floats(-math.pi, math.pi)
 WIDE_SIZES = st.sampled_from((63, 64, 65, 66, 127, 128, 129, 130))
@@ -120,8 +121,8 @@ def _check_three_ways(circuit, bits):
     dense_steps = basis_state(n, bits, backend="dense")
     sparse_steps = basis_state(n, bits, backend="sparse")
     for g in circuit.gates:
-        dense_steps = apply_gate(dense_steps, g)
-        sparse_steps = apply_gate(sparse_steps, g)
+        dense_steps = step(dense_steps, g)
+        sparse_steps = step(sparse_steps, g)
     assert np.array_equal(dense.amplitudes, dense_steps.amplitudes)
     assert sparse.amplitudes == sparse_steps.amplitudes
     assert list(sparse.amplitudes.items()) == _oracle(n, circuit.gates, bits)

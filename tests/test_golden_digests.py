@@ -1,5 +1,6 @@
 """Byte-for-byte pins of the n=60 outputs, recorded before the circuits were
-stored as gate columns and the sparse engine fused CNOT runs."""
+stored as gate columns and the sparse engine fused CNOT runs, and of the
+CZ-level dumps, recorded after the dense engine fused CNOT runs."""
 import hashlib
 
 import pytest
@@ -55,6 +56,22 @@ def test_elementary_sparse_dump(circuits):
 def test_composite_sparse_dump(circuits):
     assert _sha256(_sparse_dump(circuits[0])) == (
         "ae8982c2d3544f7ea35e02b8041e2da63e7abda51bde24aeccb1675cce83fc89"
+    )
+
+
+def test_cz_level_sparse_dump(circuits):
+    assert _sha256(_sparse_dump(lower(circuits[0], Level.CZ_LEVEL))) == (
+        "6fead17a510680fa3945dbadee5552053fce52fdab110787a1c12cb33590ec04"
+    )
+
+
+def test_cz_level_dense_dump():
+    # 748 lines: the ~1e-16 residue pins the bits of every dense cz and mix.
+    n = 16
+    circuit = lower(build_w_circuit(n), Level.CZ_LEVEL)
+    state = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend="dense"), backend="dense")
+    assert _sha256(dump_state(state)) == (
+        "8c34f822c5859a77b1787c47bb7c0372e0fe5bcad1568cce968ae4ad11d9608c"
     )
 
 

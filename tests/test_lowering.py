@@ -14,32 +14,31 @@ from wstates import (
     build_w_circuit,
     gate_matrix,
     lower,
-    lower_cz,
-    lower_f,
     unitary_of,
 )
 
 
 def test_lower_f_structure():
-    assert lower_f(F(1, 2, math.pi / 4)) == [
+    coupler = Circuit(2, (F(1, 2, math.pi / 4),), Level.COMPOSITE)
+    assert lower(coupler, Level.CZ_LEVEL).gates == (
         ROT(2, math.pi / 8),
         CZ(1, 2),
         ROT(2, math.pi / 8),
-    ]
+    )
 
 
 @pytest.mark.parametrize(
     "alpha", [0.0, math.pi / 4, math.acos(1 / math.sqrt(3)), 0.3, 1.2, math.pi / 2]
 )
 def test_lower_f_reconstructs_the_coupler(alpha):
-    gates = lower_f(F(1, 2, alpha))
-    u = unitary_of(Circuit(2, tuple(gates), Level.CZ_LEVEL))
+    coupler = Circuit(2, (F(1, 2, alpha),), Level.COMPOSITE)
+    u = unitary_of(lower(coupler, Level.CZ_LEVEL))
     np.testing.assert_allclose(u, gate_matrix(F(1, 2, alpha)), atol=1e-14)
 
 
 def test_lower_f_block_for_three_way_split():
     alpha = math.acos(1 / math.sqrt(3))
-    u = unitary_of(Circuit(2, tuple(lower_f(F(1, 2, alpha))), Level.CZ_LEVEL))
+    u = unitary_of(lower(Circuit(2, (F(1, 2, alpha),), Level.COMPOSITE), Level.CZ_LEVEL))
     assert abs(u[2, 2] - 1 / math.sqrt(3)) < 1e-14
     assert abs(u[3, 2] - math.sqrt(2 / 3)) < 1e-14
 
@@ -49,22 +48,18 @@ def test_f_at_zero_is_cz():
 
 
 def test_lower_cz_structure():
-    assert lower_cz(CZ(1, 2)) == [ROT(2, math.pi / 4), CNOT(1, 2), ROT(2, math.pi / 4)]
+    cz = Circuit(2, (CZ(1, 2),), Level.CZ_LEVEL)
+    assert lower(cz, Level.ELEMENTARY).gates == (
+        ROT(2, math.pi / 4), CNOT(1, 2), ROT(2, math.pi / 4),
+    )
 
 
 def test_lower_cz_reconstructs_cz():
-    u = unitary_of(Circuit(2, tuple(lower_cz(CZ(1, 2))), Level.ELEMENTARY))
+    u = unitary_of(lower(Circuit(2, (CZ(1, 2),), Level.CZ_LEVEL), Level.ELEMENTARY))
     np.testing.assert_allclose(u, np.diag([1.0, 1, 1, -1]), atol=1e-14)
     # |11> picks up the sign, |10> does not.
     assert abs(u[3, 3] + 1) < 1e-14
     assert abs(u[2, 2] - 1) < 1e-14
-
-
-def test_lower_rejects_wrong_kind():
-    with pytest.raises(TypeError):
-        lower_f(CNOT(1, 2))
-    with pytest.raises(TypeError):
-        lower_cz(F(1, 2, 0.5))
 
 
 def test_lower_n3_elementary_counts():
@@ -98,6 +93,11 @@ def test_invalid_lowering_direction_rejected():
         lower(elementary, Level.COMPOSITE)
     with pytest.raises(ValueError, match="invalid lowering"):
         lower(lower(build_w_circuit(3), Level.CZ_LEVEL), Level.COMPOSITE)
+    # The target is coerced like Circuit's level: a bad one fails before use.
+    for bad in (5, -1, "cz"):
+        with pytest.raises(ValueError, match=r"is not a valid Level$"):
+            lower(elementary, bad)
+    assert lower(build_w_circuit(3), 1).level == Level.CZ_LEVEL
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

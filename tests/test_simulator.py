@@ -14,17 +14,18 @@ from wstates import (
     Level,
     QuantumState,
     ROT,
-    apply_gate,
     basis_state,
     build_w_circuit,
     dump_state,
     encode_bits,
     fidelity,
-    pick_backend,
     run,
     unitary_of,
     w_reference,
 )
+from wstates.simulator import resolve_backend
+
+from stepping import step
 
 BACKENDS = ("dense", "sparse")
 
@@ -104,7 +105,7 @@ def test_w_reference_amplitudes():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_apply_coupler_splits_amplitude(backend):
     state = basis_state(3, "VHH", backend=backend)
-    out = apply_gate(state, F(1, 2, math.acos(1 / math.sqrt(3))))
+    out = step(state, F(1, 2, math.acos(1 / math.sqrt(3))))
     assert abs(out.amplitude(4) - 1 / math.sqrt(3)) < 1e-15      # |VHH>
     assert abs(out.amplitude(6) - math.sqrt(2 / 3)) < 1e-15      # |VVH>
     assert out.support_size() == 2
@@ -113,7 +114,7 @@ def test_apply_coupler_splits_amplitude(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_apply_cnot_moves_the_v(backend):
     state = basis_state(3, "VVH", backend=backend)
-    out = apply_gate(state, CNOT(2, 1))
+    out = step(state, CNOT(2, 1))
     assert out.amplitude(2) == 1.0                               # |HVH>
     assert out.support_size() == 1
 
@@ -121,15 +122,15 @@ def test_apply_cnot_moves_the_v(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cz_fixes_states_without_double_v(backend):
     state = basis_state(3, "VHH", backend=backend)
-    out = apply_gate(state, CZ(1, 2))
+    out = step(state, CZ(1, 2))
     assert out.amplitude(4) == 1.0
-    flipped = apply_gate(basis_state(3, "VVH", backend=backend), CZ(1, 2))
+    flipped = step(basis_state(3, "VVH", backend=backend), CZ(1, 2))
     assert flipped.amplitude(6) == -1.0
 
 
-def test_apply_gate_rejects_out_of_range_wires():
-    with pytest.raises(ValueError):
-        apply_gate(basis_state(2, "HH"), CNOT(1, 3))
+def test_stepping_rejects_out_of_range_wires():
+    with pytest.raises(ValueError, match=r"^gate .+ exceeds 2 qubits$"):
+        step(basis_state(2, "HH"), CNOT(1, 3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -214,7 +215,7 @@ def test_lowered_circuits_simulate_identically():
 def test_sparse_support_never_exceeds_n(n):
     state = _input(n, "sparse")
     for g in build_w_circuit(n).gates:
-        state = apply_gate(state, g)
+        state = step(state, g)
         assert state.support_size() <= n
     assert state.support_size() == n
 
@@ -223,7 +224,7 @@ def test_sparse_support_never_exceeds_n(n):
 def test_single_gate_application_preserves_norm(backend):
     state = _input(6, backend)
     for g in build_w_circuit(6).gates:
-        state = apply_gate(state, g)
+        state = step(state, g)
         assert abs(state.norm_squared() - 1.0) < 1e-13
 
 
@@ -302,8 +303,8 @@ def test_sparse_budget_holds_the_w_network_at_the_qubit_cap():
 
 
 def test_auto_backend_threshold():
-    assert pick_backend(20) == "dense"
-    assert pick_backend(21) == "sparse"
+    assert resolve_backend(20, "auto") == "dense"
+    assert resolve_backend(21, "auto") == "sparse"
     out = run(build_w_circuit(21), _input(21, "sparse"), backend="auto")
     assert out.backend == "sparse"
 
