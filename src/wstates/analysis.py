@@ -12,13 +12,16 @@ the plate shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .gates import F_CODE, Circuit, GateColumns, _qubit_count
-from .lowering import lower  # unused here; wbench/tracer.py wraps analysis.lower
+from .gates import Circuit, _qubit_count
+from .lowering import lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
-from .synthesis import (CountPrediction, _coupler_alpha, _require_size, build_w_circuit,
-                        predicted_counts)
+from .synthesis import (CountPrediction, WNetwork, _coupler_alpha, _require_size,
+                        build_w_circuit, predicted_counts)
+
+# Circuit, lower and build_w_circuit are unused here: wbench/tracer.py wraps
+# them by name in this module, so they stay importable from it.
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
 DEFAULT_EXTRA_PAIR_RATE = 1e-4
@@ -106,15 +109,6 @@ def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _perturbed_circuit(base: Circuit, position: int, delta_degrees: float) -> Circuit:
-    shift = 4.0 * math.radians(delta_degrees)  # plate shift -> mixing angle
-    cols = base.gates
-    angle = cols.angle.copy()
-    angle[(cols.kind == F_CODE) & (cols.control == position)] += shift
-    gates = GateColumns._adopt(cols.kind, cols.control, cols.target, angle)
-    return Circuit(base.n_qubits, gates, base.level)
-
-
 def angle_sensitivity(
     n: int,
     gate_position: int = 1,
@@ -129,22 +123,18 @@ def angle_sensitivity(
     |VH...H>, and the resulting fidelity recorded.  Records come back
     sorted by delta.
     """
-    n = _require_size(n)  # before the position check reads n
-    if not 1 <= gate_position <= n - 1:
-        raise ValueError(
-            f"gate position must be in [1, {n - 1}], got {gate_position}"
-        )
+    network = WNetwork(n, gate_position)  # checks the size, then the position
+    n = network.n_qubits
     deltas = sorted(delta_degrees)  # once: an iterator is spent after one pass
     for d in deltas:
         if not math.isfinite(d):
             raise ValueError("perturbations must be finite")
     backend = resolve_backend(n, backend)
-    base = build_w_circuit(n)
     input_state = basis_state(n, "V" + "H" * (n - 1), backend=backend)
     reference = w_reference(n)
     records = []
     for d in deltas:
-        circuit = _perturbed_circuit(base, gate_position, d)
-        out = run(circuit, input_state)
-        records.append(SensitivityRecord(n, gate_position, d, fidelity(out, reference)))
+        shifted = replace(network, shift=4.0 * math.radians(d))  # plate -> mixing angle
+        out = run(shifted, input_state)
+        records.append(SensitivityRecord(n, network.position, d, fidelity(out, reference)))
     return records

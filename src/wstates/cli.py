@@ -35,7 +35,7 @@ from .simulator import (
     run,
     w_reference,
 )
-from .synthesis import build_w_circuit
+from .synthesis import WNetwork, build_w_circuit
 
 FIDELITY_PASS = 1.0 - 1e-10
 _LOWER_TARGETS = {"cz": Level.CZ_LEVEL, "elementary": Level.ELEMENTARY}
@@ -80,8 +80,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     n = args.n
     backend = resolve_backend(n, args.backend)
-    circuit = build_w_circuit(n)
-    out = run(circuit, basis_state(n, "V" + "H" * (n - 1), backend=backend))
+    out = run(WNetwork(n), basis_state(n, "V" + "H" * (n - 1), backend=backend))
     fid = fidelity(out, w_reference(n))
     print(f"n={n} fidelity={fid:.12f}")
     return 0 if fid >= FIDELITY_PASS else 2

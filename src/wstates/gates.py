@@ -235,12 +235,12 @@ def _frozen_column(convert, values, dtype, what: str) -> np.ndarray:
     return cast
 
 
-def _qubit_count(n) -> int:
-    """n as a plain int; ValueError if it is not an integer."""
+def _qubit_count(n, what: str = "qubit count") -> int:
+    """n as a plain int; ValueError naming what n is if it is not an integer."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ValueError(f"qubit count {n!r} is not an integer") from None
+        raise ValueError(f"{what} {n!r} is not an integer") from None
 
 
 def columns_of(gates) -> GateColumns:
@@ -294,6 +294,23 @@ class Circuit:
     def gate_counts(self) -> dict[str, int]:
         tally = np.bincount(self.gates.kind, minlength=len(GATE_KINDS)).tolist()
         return {k: v for k, v in zip(GATE_KINDS, tally) if v}
+
+    def ops(self):
+        """The gates as ops (kind code, control, target, angle), in order: a
+        maximal run of consecutive CNOTs that share a target is one op, with
+        the run's int32 control column; any other gate is one op, with an int
+        control (0 for ROT).  A run is exact as one op: no control of the run
+        is its target, so its CNOTs commute and flip the target once, under
+        the parity of the controls."""
+        cols = self.gates
+        cnot = cols.kind == CNOT_CODE
+        joins = cnot[1:] & cnot[:-1] & (cols.target[1:] == cols.target[:-1])
+        # The slice drops the one start an empty circuit would otherwise get.
+        starts = np.flatnonzero(np.concatenate(([True], ~joins)))[: len(cols)]
+        ends = [*starts[1:].tolist(), len(cols)]
+        rows = zip(starts.tolist(), ends, *(c[starts].tolist() for c in cols._columns()))
+        for start, end, kind, control, target, angle in rows:
+            yield kind, cols.control[start:end] if kind == CNOT_CODE else control, target, angle
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:

@@ -12,11 +12,12 @@ and is the only qubit-cap check: the caps are the constants DENSE_QUBIT_CAP
 and SPARSE_QUBIT_CAP, and QuantumState.to_dense checks its dense storage
 through it too, as does basis_state for every backend but "sparse", which
 is storage only and has no run cap.
-run converts the input to that backend's storage and hands it to _execute,
-its only caller.  _execute reads the gate columns (see gates.py) and
-plans the ops once with _fusion_plan: each fan-in layer, a maximal run of
-consecutive CNOTs that share a target, is one op, every other gate its own.
-Its loop is the only op loop and the only branch on gate kind; with
+run converts the input to that backend's storage and hands the circuit's
+ops() to _execute, its only caller.  A Circuit's ops come from its gate
+columns (see gates.py): each fan-in layer, a maximal run of consecutive
+CNOTs that share a target, is one op, every other gate its own.  The W
+network (synthesis.WNetwork) yields the same ops from its closed form.
+_execute's loop is the only op loop and the only dispatch on gate kind; with
 check_norm it checks the norm after each op.  An engine only says how to
 apply an op, through cnots(controls, target), cz(control, target) and
 mix(control or None, target, angle).  A CNOT run flips the target where
@@ -47,8 +48,8 @@ from .gates import (
     CZ_CODE,
     F_CODE,
     Circuit,
-    GateColumns,
     _frozen_column,
+    _gate_of,
     _qubit_count,
 )
 
@@ -429,36 +430,15 @@ def resolve_backend(n: int, backend: str) -> str:
     return backend
 
 
-def _fusion_plan(gates: GateColumns) -> np.ndarray:
-    """First row of each op: a maximal run of consecutive CNOTs that share a
-    target is one op, every other gate is its own op.
-
-    A run can be applied as one op, exactly: no control of the run is its
-    target, so no CNOT of the run changes a control, and the CNOTs commute:
-    both engines flip the target once, under the parity of the controls.
-    """
-    cnot = gates.kind == CNOT_CODE
-    joins = cnot[1:] & cnot[:-1] & (gates.target[1:] == gates.target[:-1])
-    # The slice drops the one start an empty circuit would otherwise get.
-    return np.flatnonzero(np.concatenate(([True], ~joins)))[: len(gates)]
-
-
-def _execute(state: QuantumState, gates: GateColumns, check_norm: bool) -> QuantumState:
-    """Run the gates on the state's own backend, one op of the fusion plan
-    at a time; with check_norm, fail at the first op after which the norm
-    leaves 1 by more than 1e-10, naming the op's last gate."""
+def _execute(state: QuantumState, ops, check_norm: bool) -> QuantumState:
+    """Run the ops on the state's own backend, one at a time; with
+    check_norm, fail at the first op after which the norm leaves 1 by more
+    than 1e-10, naming the op's last gate."""
     engine_type = _DenseEngine if state.backend == "dense" else _SparseEngine
     engine = engine_type(state.n, state.amplitudes)
-    starts = _fusion_plan(gates)
-    ends = [*starts[1:].tolist(), len(gates)]
-    rows = zip(
-        starts.tolist(), ends, gates.kind[starts].tolist(),
-        gates.control[starts].tolist(), gates.target[starts].tolist(),
-        gates.angle[starts].tolist(),
-    )
-    for start, end, kind, control, target, angle in rows:
+    for kind, control, target, angle in ops:
         if kind == CNOT_CODE:
-            engine.cnots(gates.control[start:end], target)
+            engine.cnots(control, target)
         elif kind == CZ_CODE:
             engine.cz(control, target)
         else:
@@ -467,7 +447,8 @@ def _execute(state: QuantumState, gates: GateColumns, check_norm: bool) -> Quant
             live = engine.live()
             norm_sq = float(np.dot(live, live))
             if abs(norm_sq - 1.0) > 1e-10:
-                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gates[end - 1]}")
+                last = _gate_of(kind, int(np.atleast_1d(control)[-1]), target, angle)
+                raise RuntimeError(f"norm drifted to {norm_sq!r} after {last}")
     return QuantumState(state.n, engine.amplitudes(), state.backend)
 
 
@@ -480,6 +461,7 @@ def run(
 ) -> QuantumState:
     """Apply the circuit's gates in list order to the input state.
 
+    circuit is anything with n_qubits and ops(): a Circuit or a WNetwork.
     backend None keeps the input's backend; "auto" picks dense for
     n <= AUTO_DENSE_MAX, sparse above.  Deterministic: identical inputs
     give bit-identical outputs.  A one-gate circuit steps a state by a gate.
@@ -490,7 +472,7 @@ def run(
         )
     chosen = resolve_backend(state.n, backend or state.backend)
     state = state.to_dense() if chosen == "dense" else state.to_sparse()
-    return _execute(state, circuit.gates, check_norm)
+    return _execute(state, circuit.ops(), check_norm)
 
 
 def dump_state(state: QuantumState) -> str:

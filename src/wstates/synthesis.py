@@ -9,16 +9,17 @@ followed by the previous network shifted down one wire, followed by a layer
 CNOT(k,1) for k = 2..n.  Each enhancement adds exactly n two-qubit gates,
 giving (n(n+1) - 4)/2 gates in total: n-1 F couplers and (n-2)(n+1)/2 CNOTs.
 
-build_w_circuit emits the fully unrolled gate sequence directly instead of
-recursing, so building stays O(total gates) with no per-gate Python work and
-is safe at n in the thousands.  The unrolled order is: F couplers F(j, j+1)
-for j = 1..n-3, the shifted 3-qubit base on wires n-2..n, then the CNOT
-fan-in layers from the innermost enhancement outward, one arange of controls
-per layer.
+WNetwork writes the unrolled order down once, as a stream of 2n-2 ops: F
+couplers F(j, j+1) for j = 1..n-3, the shifted 3-qubit base on wires
+n-2..n, then the CNOT fan-in layers from the innermost enhancement outward,
+one op with an arange of controls per layer.  run() takes the stream as it
+is, in O(n) memory; build_w_circuit expands it into gate columns, with no
+per-gate Python work, for the verbs that need the gates themselves.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -98,23 +99,68 @@ def predicted_counts(n: int) -> CountPrediction:
     return CountPrediction(total, n - 1, (n - 2) * (n + 1) // 2)
 
 
+@dataclass(frozen=True, slots=True)
+class WNetwork:
+    """The ops of build_w_circuit(n), from the closed form, with no gate
+    columns; run() takes the network as it is.  shift is added to the mixing
+    angle of the coupler F(position, position + 1).  level, gates (expanded
+    on each read) and gate_counts() answer as the built circuit's would."""
+
+    n_qubits: int
+    position: int = 1
+    shift: float = 0.0
+    level = Level.COMPOSITE
+
+    def __post_init__(self):
+        n = _require_size(self.n_qubits)
+        position = _qubit_count(self.position, "gate position")
+        if not 1 <= position <= n - 1:
+            raise ValueError(f"gate position must be in [1, {n - 1}], got {position}")
+        if not (isinstance(self.shift, numbers.Real) and math.isfinite(self.shift)):
+            raise ValueError(f"angle shift must be a finite real, got {self.shift!r}")
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "shift", float(self.shift))
+
+    def ops(self):
+        """(kind code, control, target, angle) per op, as in Circuit.ops()."""
+        n = self.n_qubits
+        alpha = [0.0, *(_coupler_alpha(n, j) for j in range(1, n))]  # of F(j, j+1)
+        alpha[self.position] += self.shift  # the same bits as a float64 column add
+        # Head, n+1 gates: F(j, j+1) for j = 1..n-2, CNOT(n-1, n-2), F(n-1, n),
+        # CNOT(n, n-1).  Then the fan-in layers, innermost enhancement first:
+        # CNOT(m, t) for m = t+1..n, t = n-3..1.  Within a layer the CNOTs
+        # commute (shared target, disjoint controls) and ascend for stable output.
+        for j in range(1, n - 1):
+            yield F_CODE, j, j + 1, alpha[j]
+        yield CNOT_CODE, np.array([n - 1], dtype=np.int32), n - 2, 0.0
+        yield F_CODE, n - 1, n, alpha[n - 1]
+        yield CNOT_CODE, np.array([n], dtype=np.int32), n - 1, 0.0
+        for t in range(n - 3, 0, -1):
+            yield CNOT_CODE, np.arange(t + 1, n + 1, dtype=np.int32), t, 0.0
+
+    @property
+    def gates(self) -> GateColumns:
+        """The ops expanded into gate columns, one row per gate."""
+        size = predicted_counts(self.n_qubits).total_two_qubit
+        kind, angle = np.full(size, CNOT_CODE, np.uint8), np.zeros(size)
+        control, target = np.empty(size, np.int32), np.empty(size, np.int32)
+        row = 0
+        for k, c, t, a in self.ops():
+            if k == CNOT_CODE:  # a run: one row per control
+                control[row : row + len(c)], target[row : row + len(c)] = c, t
+            else:
+                kind[row], control[row], target[row], angle[row] = k, c, t, a
+            row += len(c) if k == CNOT_CODE else 1
+        return GateColumns._adopt(kind, control, target, angle)
+
+    def gate_counts(self) -> dict[str, int]:
+        counts = predicted_counts(self.n_qubits)
+        return {"F": counts.f_gates, "CNOT": counts.cnot_gates}
+
+
 def build_w_circuit(n: int) -> Circuit:
-    """The composite-level n-qubit W-state preparation circuit."""
-    n = _require_size(n)
-    size = predicted_counts(n).total_two_qubit
-    kind = np.full(size, CNOT_CODE, dtype=np.uint8)
-    angle = np.zeros(size)
-    # Head, n+1 gates: F(j, j+1) for j = 1..n-2, CNOT(n-1, n-2), F(n-1, n),
-    # CNOT(n, n-1).  Then the fan-in layers, innermost enhancement first:
-    # CNOT(m, t) for m = t+1..n, t = n-3..1.  Within a layer the CNOTs
-    # commute (shared target, disjoint controls) and ascend for stable output.
-    kind[: n - 2] = kind[n - 1] = F_CODE
-    layer_target = np.arange(n - 3, 0, -1, dtype=np.int32)
-    layers = (np.arange(t + 1, n + 1, dtype=np.int32) for t in layer_target.tolist())
-    control = np.concatenate([[*range(1, n - 1), n - 1, n - 1, n], *layers], dtype=np.int32)
-    target = np.concatenate([[*range(2, n), n - 2, n, n - 1],
-                             np.repeat(layer_target, n - layer_target)], dtype=np.int32)
-    alphas = [_coupler_alpha(n, j) for j in range(1, n)]
-    angle[: n - 2] = alphas[:-1]
-    angle[n - 1] = alphas[-1]
-    return Circuit(n, GateColumns._adopt(kind, control, target, angle), Level.COMPOSITE)
+    """The composite-level n-qubit W-state preparation circuit: the ops of
+    WNetwork(n), expanded into gate columns."""
+    network = WNetwork(n)
+    return Circuit(network.n_qubits, network.gates, network.level)

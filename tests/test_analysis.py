@@ -225,10 +225,19 @@ def test_sensitivity_records_sorted_by_delta():
     assert [r.delta_plate_angle for r in records] == [0.0, 0.5, 1.0]
 
 
-@pytest.mark.parametrize("position", [0, -1, 6, 99])
+@pytest.mark.parametrize("position", [0, -1, 6, 99, 1.5])
 def test_sensitivity_rejects_unknown_position(position):
     with pytest.raises(ValueError):
         angle_sensitivity(6, position, (0.0,))
+
+
+def test_sensitivity_takes_an_integer_position_of_any_type():
+    # 1.5 once passed the range check and then perturbed no coupler.
+    with pytest.raises(ValueError, match=r"^gate position 1\.5 is not an integer$"):
+        angle_sensitivity(5, 1.5, (0.0, 2.0))
+    records = angle_sensitivity(5, np.int64(2), (0.0, 2.0))
+    assert repr(records) == repr(angle_sensitivity(5, 2, (0.0, 2.0)))
+    assert records[1].fidelity < 0.99
 
 
 def test_sensitivity_takes_its_offsets_from_a_generator():

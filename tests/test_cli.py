@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -289,8 +290,15 @@ def test_module_entry_point_subprocess(tmp_path):
     assert bad.returncode == 2
 
 
-def _no_build(n):
-    raise AssertionError(f"build_w_circuit({n}) ran before the capacity check")
+def _no_engine(monkeypatch, when):
+    """Make building either engine, which allocates the run's storage, fail."""
+    import wstates.simulator
+
+    def no_engine(n, amplitudes):
+        raise AssertionError(f"an engine for {n} qubits was built {when}")
+
+    monkeypatch.setattr(wstates.simulator, "_DenseEngine", no_engine)
+    monkeypatch.setattr(wstates.simulator, "_SparseEngine", no_engine)
 
 
 @pytest.mark.parametrize(
@@ -298,9 +306,7 @@ def _no_build(n):
     [("verify", "--n", "10001"), ("verify", "--n", "25", "--backend", "dense")],
 )
 def test_verify_checks_capacity_before_building(monkeypatch, capsys, argv):
-    import wstates.cli
-
-    monkeypatch.setattr(wstates.cli, "build_w_circuit", _no_build)
+    _no_engine(monkeypatch, "before the capacity check")
     code, out, err = cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "capped" in err
@@ -358,10 +364,6 @@ def test_analyze_reports_without_building(monkeypatch, capsys):
     assert report["elementary_cnots"] == 40504498
 
 
-def _no_sweep_build(n):
-    raise AssertionError(f"build_w_circuit({n}) ran before sweep validated")
-
-
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -372,14 +374,43 @@ def _no_sweep_build(n):
     ],
 )
 def test_sweep_validates_before_building(monkeypatch, capsys, argv, expected):
-    import wstates.analysis
-
-    monkeypatch.setattr(wstates.analysis, "build_w_circuit", _no_sweep_build)
+    _no_engine(monkeypatch, "before sweep validated")
     code, out, err = cli(capsys, *argv)
     assert code == expected and out == ""
     assert err.startswith("error: ")
     if expected == 3:
         assert "backend capped at" in err
+
+
+def test_verify_and_sweep_run_without_building(monkeypatch, capsys):
+    import wstates.analysis
+    import wstates.cli
+
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("verify or sweep built the circuit")
+
+    monkeypatch.setattr(wstates.cli, "build_w_circuit", no_circuit)
+    monkeypatch.setattr(wstates.analysis, "build_w_circuit", no_circuit)
+    assert cli(capsys, "verify", "--n", "800") == (0, "n=800 fidelity=1.000000000000\n", "")
+    assert cli(capsys, "sweep", "--n", "300", "--deltas", "0,1") == (
+        0,
+        "n,perturbed_gate_position,delta_plate_angle,fidelity\n"
+        "300,1,0,1\n"
+        "300,1,1,0.995134034371\n",
+        "",
+    )
+
+
+def test_verify_memory_stays_linear(capsys):
+    # The gate columns of n=2000 alone take 34 MB; the run needs about 1.6 MB.
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--n", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == "n=2000 fidelity=1.000000000000\n"
+    assert peak <= 4e6
 
 
 def test_sweep_rejects_small_n(capsys):

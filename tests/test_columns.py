@@ -22,7 +22,6 @@ from wstates import (
     run,
 )
 from wstates.gates import CNOT_CODE, F_CODE, ROT_CODE, columns_of
-from wstates.simulator import _fusion_plan
 
 from stepping import step
 
@@ -150,18 +149,26 @@ def test_parse_reports_equal_wires_with_line_number():
 def test_fusion_plan_merges_each_fan_in_layer(n):
     # n-1 couplers, the two single CNOTs of the 3-qubit base, and one op
     # per fan-in layer: 1,998 ops instead of 500,498 gates at n=1000.
-    gates = build_w_circuit(n).gates
-    starts = _fusion_plan(gates)
-    assert len(starts) == 2 * n - 2
-    assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+    ops = list(build_w_circuit(n).ops())
+    assert len(ops) == 2 * n - 2
+    rows = sum(len(c) if k == CNOT_CODE else 1 for k, c, _, _ in ops)
+    assert rows == predicted_counts(n).total_two_qubit
 
 
 def test_fusion_plan_splits_on_target_and_kind():
-    gates = columns_of(
-        (CNOT(2, 1), CNOT(3, 1), CNOT(3, 2), ROT(1, 0.3), CNOT(2, 1), CNOT(2, 1))
+    circuit = Circuit(
+        3, (CNOT(2, 1), CNOT(3, 1), CNOT(3, 2), ROT(1, 0.3), CNOT(2, 1), CNOT(2, 1)),
+        Level.ELEMENTARY,
     )
-    assert _fusion_plan(gates).tolist() == [0, 2, 3, 4]
-    assert _fusion_plan(columns_of(())).tolist() == []
+    ops = list(circuit.ops())
+    assert all(c.dtype == np.int32 for k, c, _, _ in ops if k == CNOT_CODE)
+    assert [(k, np.atleast_1d(c).tolist(), t, a) for k, c, t, a in ops] == [
+        (CNOT_CODE, [2, 3], 1, 0.0),
+        (CNOT_CODE, [3], 2, 0.0),
+        (ROT_CODE, [0], 1, 0.3),
+        (CNOT_CODE, [2, 2], 1, 0.0),
+    ]
+    assert list(Circuit(3, (), Level.ELEMENTARY).ops()) == []
 
 
 def test_constructor_copies_caller_arrays():
