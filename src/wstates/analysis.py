@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .gates import Circuit, _qubit_count
+from .gates import Circuit, _qubit_count, _require_rows
 from .lowering import lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
 from .synthesis import (CountPrediction, WNetwork, _coupler_alpha, _require_size,
@@ -89,19 +89,24 @@ def pdc_rates(n: int, model: PdcModel) -> tuple[float, float]:
     return desired, desired + math.log10(model.delta)
 
 
-def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
-    """First-plate angle arccos(1/sqrt(n))/4 in degrees for n = 3..n_max."""
+def _table_size(n_max: int) -> int:
+    """n_max as a plain int, once it is >= 3 and rows 3..n_max fit ROW_CAP."""
     n_max = _qubit_count(n_max)
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
+    _require_rows(n_max - 2, f"the table to n_max={n_max}")
+    return n_max
+
+
+def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
+    """First-plate angle arccos(1/sqrt(n))/4 in degrees for n = 3..n_max."""
+    n_max = _table_size(n_max)
     return [(n, math.degrees(_coupler_alpha(n, 1) / 4.0)) for n in range(3, n_max + 1)]
 
 
 def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:
     """(n, total, f_count, cnot_count) rows for n = 3..n_max."""
-    n_max = _qubit_count(n_max)
-    if n_max < 3:
-        raise ValueError(f"need n_max >= 3, got {n_max}")
+    n_max = _table_size(n_max)
     rows = []
     for n in range(3, n_max + 1):
         pred = predicted_counts(n)

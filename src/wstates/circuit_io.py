@@ -12,14 +12,15 @@ Layout (UTF-8, LF endings):
 Gate lines appear in application order with 1-based indices; angles are
 decimal radians printed with 17 significant digits so floats round-trip
 bit-exactly.  `#` starts a comment anywhere on a line; blank lines are
-ignored.  Parsing is strict: unknown keywords, out-of-range indices,
-missing or extra fields are hard errors.
+ignored.  Fields are separated by whitespace.  The qubit count and every
+index are one or more ASCII digits: no sign, no `_`, no other script's
+digits.  An angle is a finite decimal float in ASCII with no `_`, sign and
+exponent allowed (`-0.5`, `1e+20`).  Parsing is strict: unknown keywords,
+bad tokens, out-of-range indices, missing or extra fields, and gate kinds
+that fit no lowering level are hard errors.
 
-The format carries no explicit lowering level; on parse the circuit gets
-the most-lowered level consistent with its gate kinds (ELEMENTARY, then
-CZ_LEVEL, then COMPOSITE).  Every circuit this package emits round-trips
-with its level intact, since composite circuits contain F gates and
-cz-level ones contain CZ gates.
+The format carries no lowering level: a Circuit reads its level off its
+gate kinds (see gates.Circuit).
 """
 from __future__ import annotations
 
@@ -27,10 +28,8 @@ import math
 
 from .errors import CircuitParseError
 from .gates import (
-    ALLOWED_KINDS,
     CNOT_CODE,
     F_CODE,
-    GATE_KINDS,
     KIND_CODES,
     ROT_CODE,
     Circuit,
@@ -71,27 +70,22 @@ def serialize_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _infer_level(kinds: set[str]) -> Level:
-    for level in (Level.ELEMENTARY, Level.CZ_LEVEL, Level.COMPOSITE):
-        if kinds <= ALLOWED_KINDS[level]:
-            return level
-    raise CircuitParseError(f"gate kinds {sorted(kinds)} fit no lowering level")
-
-
-def _parse_index(token: str, n: int, lineno: int) -> int:
+def _parse_index(token: str, bound: int, lineno: int, what: str = "qubit index") -> int:
     try:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError  # int() would also take a sign, `_` and other digits
         value = int(token)
     except ValueError:
-        raise CircuitParseError(f"line {lineno}: bad qubit index {token!r}") from None
-    if not 1 <= value <= n:
-        raise CircuitParseError(
-            f"line {lineno}: qubit index {value} outside [1, {n}]"
-        )
+        raise CircuitParseError(f"line {lineno}: bad {what} {token!r}") from None
+    if not 1 <= value <= bound:
+        raise CircuitParseError(f"line {lineno}: {what} {value} outside [1, {bound}]")
     return value
 
 
 def _parse_angle(token: str, lineno: int) -> float:
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError  # float() would also take `_` and other digits
         value = float(token)
     except ValueError:
         raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
@@ -122,18 +116,9 @@ def parse_circuit(text: str) -> Circuit:
     lineno, qubits_row = second
     if len(qubits_row) != 2:
         raise CircuitParseError(f"line {lineno}: 'qubits' takes one field")
-    try:
-        n = int(qubits_row[1])
-    except ValueError:
-        raise CircuitParseError(
-            f"line {lineno}: bad qubit count {qubits_row[1]!r}"
-        ) from None
+    n = _parse_index(qubits_row[1], _MAX_QUBITS, lineno, "qubit count")
     if n < 2:
         raise CircuitParseError(f"line {lineno}: need at least 2 qubits")
-    if n > _MAX_QUBITS:
-        raise CircuitParseError(
-            f"line {lineno}: qubit count {n} above {_MAX_QUBITS}"
-        )
 
     codes, controls, targets, angles = [], [], [], []
     for lineno, tokens in rows:
@@ -162,8 +147,10 @@ def parse_circuit(text: str) -> Circuit:
         targets.append(target)
         angles.append(angle)
 
-    level = _infer_level({GATE_KINDS[c] for c in set(codes)})
-    return Circuit(n, GateColumns(codes, controls, targets, angles), level)
+    try:
+        return Circuit(n, GateColumns(codes, controls, targets, angles))
+    except ValueError as exc:  # the gate kinds fit no lowering level
+        raise CircuitParseError(str(exc)) from None
 
 
 def load_circuit(path) -> Circuit:

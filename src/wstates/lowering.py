@@ -16,7 +16,7 @@ import numpy as np
 from .gates import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Circuit, GateColumns, Level
 
 
-def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) -> Circuit:
+def _rewrite(circuit: Circuit, code: int, middle: int, plate) -> Circuit:
     """Replace every `code` gate (c, t) by [ROT(t, p), middle(c, t), ROT(t, p)],
     where p = plate(angles of the replaced gates), in one pass over the columns."""
     cols = circuit.gates
@@ -34,7 +34,7 @@ def _rewrite(circuit: Circuit, code: int, middle: int, plate, new_level: Level) 
         angle[row] = plates
     kind[first + 1] = middle
     angle[first + 1] = 0.0
-    return Circuit(circuit.n_qubits, GateColumns._adopt(kind, control, target, angle), new_level)
+    return Circuit(circuit.n_qubits, GateColumns._adopt(kind, control, target, angle))
 
 
 def lower(circuit: Circuit, target: Level) -> Circuit:
@@ -49,10 +49,8 @@ def lower(circuit: Circuit, target: Level) -> Circuit:
     if result.level == Level.COMPOSITE and target < Level.COMPOSITE:
         # F(c,t,alpha) = ROT(t,alpha/2) CZ(c,t) ROT(t,alpha/2), since R(b) Z R(b)
         # = R(2b) on the control=1 block and R(b)**2 = I elsewhere.
-        result = _rewrite(result, F_CODE, CZ_CODE, lambda a: a / 2.0, Level.CZ_LEVEL)
+        result = _rewrite(result, F_CODE, CZ_CODE, lambda a: a / 2.0)
     if result.level == Level.CZ_LEVEL and target < Level.CZ_LEVEL:
         # CZ(c,t) = ROT(t,pi/4) CNOT(c,t) ROT(t,pi/4), since H X H = Z.
-        result = _rewrite(
-            result, CZ_CODE, CNOT_CODE, lambda a: math.pi / 4, Level.ELEMENTARY
-        )
+        result = _rewrite(result, CZ_CODE, CNOT_CODE, lambda a: math.pi / 4)
     return result

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +83,23 @@ def encode_bits(bits: str) -> int:
 class QuantumState:
     """Real amplitudes over the n-qubit computational basis.
 
-    amplitudes is a dict {basis index: amplitude} for the sparse backend or
-    a float64 array of length 2**n for the dense backend.  Instances are
-    immutable snapshots: dense arrays are adopted and marked read-only,
-    sparse mappings are copied with zero entries dropped.
+    The storage names the backend: a mapping {basis index: amplitude} is
+    sparse, and anything else is dense, read as a float64 array of length
+    2**n.  Instances are immutable snapshots: dense arrays are adopted and
+    marked read-only, sparse mappings are copied into a dict with zero
+    entries dropped.
     """
 
     n: int
     amplitudes: dict | np.ndarray
-    backend: str
 
     def __post_init__(self):
         object.__setattr__(self, "n", _qubit_count(self.n))
-        if self.backend == "dense":
-            arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
-            if arr.shape != (1 << self.n,):
-                raise ValueError("dense amplitude array has wrong length")
-            object.__setattr__(self, "amplitudes", arr)
-        elif self.backend == "sparse":
+        if isinstance(self.amplitudes, Mapping):
             bound = 1 << self.n
             items = {}
             for k, v in self.amplitudes.items():
-                try:
-                    k = operator.index(k)
-                except TypeError:
-                    raise ValueError(f"basis index {k!r} is not an integer") from None
+                k = _qubit_count(k, "basis index")
                 if not isinstance(v, numbers.Real):
                     raise ValueError("amplitudes must be real")
                 if not 0 <= k < bound:
@@ -116,10 +108,17 @@ class QuantumState:
                     items[k] = float(v)
             object.__setattr__(self, "amplitudes", items)
         else:
-            raise ValueError(f"unknown backend {self.backend!r}")
+            arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
+            if arr.shape != (1 << self.n,):
+                raise ValueError("dense amplitude array has wrong length")
+            object.__setattr__(self, "amplitudes", arr)
         # Written so that a NaN norm fails the check too.
         if not abs(self.norm_squared() - 1.0) <= _NORM_GUARD:
             raise ValueError("state is not normalized")
+
+    @property
+    def backend(self) -> str:
+        return "sparse" if isinstance(self.amplitudes, dict) else "dense"
 
     def __repr__(self):
         return (
@@ -157,12 +156,12 @@ class QuantumState:
         vec = np.zeros(1 << self.n)
         for k, v in self.amplitudes.items():
             vec[k] = v
-        return QuantumState(self.n, vec, "dense")
+        return QuantumState(self.n, vec)
 
     def to_sparse(self) -> "QuantumState":
         if self.backend == "sparse":
             return self
-        return QuantumState(self.n, dict(self.items()), "sparse")
+        return QuantumState(self.n, dict(self.items()))
 
 
 def basis_state(n: int, bits: str, backend: str = "auto") -> QuantumState:
@@ -173,7 +172,7 @@ def basis_state(n: int, bits: str, backend: str = "auto") -> QuantumState:
     """
     if len(bits) != n:
         raise ValueError(f"expected {n} characters, got {len(bits)}")
-    state = QuantumState(n, {encode_bits(bits): 1.0}, "sparse")
+    state = QuantumState(n, {encode_bits(bits): 1.0})
     if backend == "sparse":
         return state
     return state.to_dense() if resolve_backend(n, backend) == "dense" else state
@@ -185,7 +184,7 @@ def w_reference(n: int) -> QuantumState:
     if n < 2:
         raise ValueError(f"reference state needs n >= 2, got {n}")
     amp = 1.0 / math.sqrt(n)
-    return QuantumState(n, {1 << (n - k): amp for k in range(1, n + 1)}, "sparse")
+    return QuantumState(n, {1 << (n - k): amp for k in range(1, n + 1)})
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
@@ -275,8 +274,7 @@ class _DenseEngine:
     def live(self) -> np.ndarray:
         return self.t.reshape(-1)
 
-    def amplitudes(self) -> np.ndarray:
-        return self.t.reshape(-1)
+    amplitudes = live
 
 
 class _SparseEngine:
@@ -449,7 +447,7 @@ def _execute(state: QuantumState, ops, check_norm: bool) -> QuantumState:
             if abs(norm_sq - 1.0) > 1e-10:
                 last = _gate_of(kind, int(np.atleast_1d(control)[-1]), target, angle)
                 raise RuntimeError(f"norm drifted to {norm_sq!r} after {last}")
-    return QuantumState(state.n, engine.amplitudes(), state.backend)
+    return QuantumState(state.n, engine.amplitudes())
 
 
 def run(

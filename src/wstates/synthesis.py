@@ -163,4 +163,4 @@ def build_w_circuit(n: int) -> Circuit:
     """The composite-level n-qubit W-state preparation circuit: the ops of
     WNetwork(n), expanded into gate columns."""
     network = WNetwork(n)
-    return Circuit(network.n_qubits, network.gates, network.level)
+    return Circuit(network.n_qubits, network.gates)

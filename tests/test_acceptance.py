@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from wstates import (
+    Circuit,
     Level,
     angle_sensitivity,
     basis_state,
@@ -156,13 +157,11 @@ def test_criterion_09_backend_and_oracle_equivalence():
 
 
 def test_criterion_10_sparsity_bound():
-    from stepping import step
-
     for n in range(3, 65):
         state = _prep_input(n, "sparse")
         peak = 1
         for g in build_w_circuit(n).gates:
-            state = step(state, g)
+            state = run(Circuit(state.n, (g,)), state)
             peak = max(peak, state.support_size())
         assert peak <= n, (n, peak)
     _passed(10, "sparse support never exceeds n for n in [3, 64]")

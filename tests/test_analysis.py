@@ -202,9 +202,7 @@ def test_sensitivity_cross_checked_against_unitary_oracle():
     base = build_w_circuit(3)
     first = base.gates[0]
     shifted = Circuit(
-        3,
-        (F(first.control, first.target, first.angle + math.pi),) + base.gates[1:],
-        base.level,
+        3, (F(first.control, first.target, first.angle + math.pi),) + base.gates[1:]
     )
     column = unitary_of(shifted)[:, 4]  # input |VHH>
     reference = w_reference(3)

@@ -19,6 +19,7 @@ from wstates import (
     save_circuit,
     serialize_circuit,
 )
+from wstates.gates import ALLOWED_KINDS
 
 
 def test_serialized_header_and_shape():
@@ -66,7 +67,7 @@ F 1 2 0.5  # coupler
 CNOT 2 1
 """
     circuit = parse_circuit(text)
-    assert circuit == Circuit(2, (F(1, 2, 0.5), CNOT(2, 1)), Level.COMPOSITE)
+    assert circuit == Circuit(2, (F(1, 2, 0.5), CNOT(2, 1)))
 
 
 def test_file_round_trip(tmp_path):
@@ -127,36 +128,80 @@ def test_qubit_count_beyond_int32_rejected_with_line_number():
         parse_circuit(f"wcircuit 1\nqubits {big}\nCNOT {big} 1\n")
 
 
-_gates = st.integers(2, 5).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(
-            st.one_of(
-                st.builds(
-                    F,
-                    st.integers(1, n - 1),
-                    st.just(n),
-                    st.floats(-2 * math.pi, 2 * math.pi),
-                ),
-                st.builds(CNOT, st.integers(2, n), st.integers(1, 1)),
-                st.builds(CZ, st.integers(1, 1), st.integers(2, n)),
-                st.builds(ROT, st.integers(1, n), st.floats(-8.0, 8.0)),
-            ),
-            max_size=8,
-        ),
-    )
+def _gates_of(kinds, n):
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    angles = st.floats(allow_nan=False, allow_infinity=False)
+    make = {
+        "F": st.builds(lambda p, a: F(*p, a), pairs, angles),
+        "CNOT": pairs.map(lambda p: CNOT(*p)),
+        "CZ": pairs.map(lambda p: CZ(*p)),
+        "ROT": st.builds(ROT, st.integers(1, n), angles),
+    }
+    return st.lists(st.one_of(*(make[k] for k in sorted(kinds))), max_size=8)
+
+
+# Any mix of kinds that fits a level: a draw of the kinds one level allows.
+_circuits = st.tuples(st.integers(2, 5), st.sampled_from(Level)).flatmap(
+    lambda drawn: st.tuples(st.just(drawn[0]), _gates_of(ALLOWED_KINDS[drawn[1]], drawn[0]))
 )
 
 
-@given(_gates)
+@given(_circuits)
 def test_round_trip_is_exact_for_arbitrary_circuits(drawn):
     n, gates = drawn
-    kinds = {g.kind for g in gates}
-    for level in (Level.ELEMENTARY, Level.CZ_LEVEL, Level.COMPOSITE):
-        from wstates.gates import ALLOWED_KINDS
+    circuit = Circuit(n, tuple(gates))
+    text = serialize_circuit(circuit)
+    parsed = parse_circuit(text)
+    assert parsed == circuit and parsed.level == circuit.level
+    assert serialize_circuit(parsed) == text  # a fixed point on the bytes
 
-        if kinds <= ALLOWED_KINDS[level]:
-            circuit = Circuit(n, tuple(gates), level)
-            assert parse_circuit(serialize_circuit(circuit)) == circuit
-            return
-    # kind mix fits no level: nothing to round-trip
+
+def test_cnot_only_circuit_round_trips_at_its_level():
+    # CNOTs fit every level, so the circuit is ELEMENTARY, in memory and in a file.
+    circuit = Circuit(2, (CNOT(1, 2),))
+    assert circuit.level == Level.ELEMENTARY
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+def test_rot_only_file_is_written_the_same_twice():
+    # A ROT-only circuit is ELEMENTARY, so its plates are annotated on the
+    # first write as on every later one.
+    text = serialize_circuit(Circuit(2, (ROT(1, 0.5), ROT(2, math.pi / 4))))
+    assert text.count("# plate_angle_deg=") == 2
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+def test_kinds_that_fit_no_level_name_their_kinds():
+    with pytest.raises(CircuitParseError, match=r"^gate kinds \['CZ', 'F'\] fit no lowering level$"):
+        parse_circuit("wcircuit 1\nqubits 2\nF 1 2 0.5\nCZ 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("CNOT 1_0 2", "line 3: bad qubit index '1_0'"),
+        ("CNOT +1 2", "line 3: bad qubit index '+1'"),
+        ("CNOT 1 \u0662", "line 3: bad qubit index '\u0662'"),  # Arabic-Indic 2
+        ("ROT \uff11 0.5", "line 3: bad qubit index '\uff11'"),  # fullwidth 1
+        ("F 1 2 1_0.5", "line 3: bad angle '1_0.5'"),
+        ("ROT 1 \u0661.5", "line 3: bad angle '\u0661.5'"),  # Arabic-Indic 1
+    ],
+)
+def test_tokens_int_and_float_would_take_are_rejected(line, message):
+    with pytest.raises(CircuitParseError) as info:
+        parse_circuit(f"wcircuit 1\nqubits 12\n{line}\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", ["1_0", "+3", "\u0663"])
+def test_qubit_count_is_ascii_digits(count):
+    with pytest.raises(CircuitParseError) as info:
+        parse_circuit(f"wcircuit 1\nqubits {count}\n")
+    assert str(info.value) == f"line 2: bad qubit count {count!r}"
+
+
+def test_signs_and_exponents_stay_legal_in_angles():
+    circuit = parse_circuit("wcircuit 1\nqubits 002\nROT 01 1e+20\nROT 2 -.5E-3\nROT 1 +2.\n")
+    assert circuit.n_qubits == 2
+    assert circuit.gates == (ROT(1, 1e20), ROT(2, -0.0005), ROT(1, 2.0))
+    assert "ROT 1 1e+20 " in serialize_circuit(circuit)

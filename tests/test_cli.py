@@ -11,6 +11,7 @@ import pytest
 from wstates import parse_circuit
 from wstates.analysis import DEFAULT_DELTAS, DEFAULT_EXTRA_PAIR_RATE, DEFAULT_GATE_SUCCESS
 from wstates.cli import build_parser, main
+from wstates.gates import ROW_CAP
 
 EMPTY_2Q = "wcircuit 1\nqubits 2\n"
 
@@ -60,6 +61,27 @@ def test_lower_verb(tmp_path, capsys):
     assert code == 0
     circuit = parse_circuit(out)
     assert circuit.gate_counts() == {"CNOT": 4, "ROT": 8}
+
+
+def test_lower_agrees_with_the_library_on_a_cnot_only_file(tmp_path, capsys):
+    # CNOTs alone are ELEMENTARY: lowering them to cz would raise the level.
+    path = tmp_path / "cnots.wc"
+    path.write_text("wcircuit 1\nqubits 2\nCNOT 1 2\n")
+    assert cli(capsys, "lower", "--circuit", str(path), "--to", "elementary") == (
+        0, "wcircuit 1\nqubits 2\nCNOT 1 2\n", "")
+    assert cli(capsys, "lower", "--circuit", str(path), "--to", "cz") == (
+        2, "", "error: invalid lowering: ELEMENTARY cannot be raised to CZ_LEVEL\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("CNOT 1_0 2", "bad qubit index '1_0'"), ("F +1 \u0662 0.5", "bad qubit index '+1'")],
+)
+def test_lower_rejects_tokens_int_would_take(tmp_path, capsys, line, message):
+    path = tmp_path / "loose.wc"
+    path.write_text(f"wcircuit 1\nqubits 12\n{line}\n", encoding="utf-8")
+    assert cli(capsys, "lower", "--circuit", str(path), "--to", "elementary") == (
+        2, "", f"error: line 3: {message}\n")
 
 
 def test_simulate_w3(tmp_path, capsys):
@@ -234,6 +256,39 @@ def test_growth_rejects_small_max(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: need n_max >= 3, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("synth", "--n", "2048"), 2098174),
+        (("angles", "--max", str(ROW_CAP + 3)), ROW_CAP + 1),
+        (("growth", "--max", str(ROW_CAP + 3)), ROW_CAP + 1),
+        (("growth", "--max", str(10**30)), 10**30 - 2),
+    ],
+)
+def test_row_cap_exits_3_before_building(monkeypatch, capsys, argv, rows):
+    import wstates.analysis
+    import wstates.cli
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built past the cap")
+
+    monkeypatch.setattr(wstates.cli, "build_w_circuit", no_rows)
+    monkeypatch.setattr(wstates.analysis, "predicted_counts", no_rows)
+    monkeypatch.setattr(wstates.analysis, "_coupler_alpha", no_rows)
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the ") and err.endswith(
+        f" has {rows} rows, above the cap of {ROW_CAP}\n")
+
+
+def test_row_cap_admits_the_sizes_at_it():
+    from wstates.analysis import _table_size
+    from wstates.synthesis import predicted_counts
+
+    assert predicted_counts(2047).total_two_qubit <= ROW_CAP < predicted_counts(2048).total_two_qubit
+    assert _table_size(ROW_CAP + 2) == ROW_CAP + 2
 
 
 def test_sweep_csv(capsys):

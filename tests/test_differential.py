@@ -28,7 +28,6 @@ from wstates import (
 )
 from wstates.simulator import PRUNE_THRESHOLD
 
-from stepping import step
 
 ANGLES = st.floats(-math.pi, math.pi)
 WIDE_SIZES = st.sampled_from((63, 64, 65, 66, 127, 128, 129, 130))
@@ -121,8 +120,8 @@ def _check_three_ways(circuit, bits):
     dense_steps = basis_state(n, bits, backend="dense")
     sparse_steps = basis_state(n, bits, backend="sparse")
     for g in circuit.gates:
-        dense_steps = step(dense_steps, g)
-        sparse_steps = step(sparse_steps, g)
+        dense_steps = run(Circuit(dense_steps.n, (g,)), dense_steps)
+        sparse_steps = run(Circuit(sparse_steps.n, (g,)), sparse_steps)
     assert np.array_equal(dense.amplitudes, dense_steps.amplitudes)
     assert sparse.amplitudes == sparse_steps.amplitudes
     assert list(sparse.amplitudes.items()) == _oracle(n, circuit.gates, bits)
@@ -147,7 +146,7 @@ def _check_three_ways(circuit, bits):
 @example((2, (CNOT(1, 2), CNOT(1, 2), CNOT(1, 2)), "10"))
 def test_composite_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
-    _check_three_ways(Circuit(n, gates, Level.COMPOSITE), bits)
+    _check_three_ways(Circuit(n, gates), bits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,7 +154,7 @@ def test_composite_circuits_agree_three_ways(drawn):
 @example((2, (ROT(1, 0.7), ROT(2, 0.3), CZ(1, 2), CNOT(2, 1)), "00"))
 def test_cz_level_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
-    _check_three_ways(Circuit(n, gates, Level.CZ_LEVEL), bits)
+    _check_three_ways(Circuit(n, gates), bits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,7 +162,7 @@ def test_cz_level_circuits_agree_three_ways(drawn):
 @example((2, (ROT(1, 0.7), CNOT(1, 2), ROT(2, 0.3), CNOT(2, 1)), "01"))
 def test_elementary_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
-    _check_three_ways(Circuit(n, gates, Level.ELEMENTARY), bits)
+    _check_three_ways(Circuit(n, gates), bits)
 
 
 @pytest.mark.parametrize("level", list(Level), ids=lambda level: level.name)
@@ -171,7 +170,7 @@ def test_elementary_circuits_agree_three_ways(drawn):
 @given(data=st.data())
 def test_wide_circuits_match_the_oracle(level, data):
     n, gates, bits = data.draw(_circuits(level, WIDE_SIZES, _edge_wire, _few_vs))
-    out = run(Circuit(n, gates, level), basis_state(n, bits, backend="sparse"))
+    out = run(Circuit(n, gates), basis_state(n, bits, backend="sparse"))
     assert list(out.amplitudes.items()) == _oracle(n, gates, bits)
 
 
@@ -208,7 +207,9 @@ SUB_THRESHOLD_MIXES = [
 @pytest.mark.parametrize("n, level, gates", SUB_THRESHOLD_MIXES)
 def test_sub_threshold_partners_match_the_oracle(n, level, gates):
     bits = "V" + "H" * (n - 1)
-    out = run(Circuit(n, gates, level), basis_state(n, bits, backend="sparse"))
+    circuit = Circuit(n, gates)
+    assert circuit.level == level
+    out = run(circuit, basis_state(n, bits, backend="sparse"))
     assert list(out.amplitudes.items()) == _oracle(n, gates, bits)
     assert all(abs(a) >= PRUNE_THRESHOLD for a in out.amplitudes.values())
 
@@ -217,8 +218,9 @@ def test_sub_threshold_partners_match_the_oracle(n, level, gates):
 @given(_circuits(Level.COMPOSITE))
 def test_lowering_random_composite_circuits_keeps_the_unitary(drawn):
     n, gates, _ = drawn
-    composite = Circuit(n, gates, Level.COMPOSITE)
+    composite = Circuit(n, gates)
     reference = unitary_of(composite)
-    for target in (Level.CZ_LEVEL, Level.ELEMENTARY):
+    # A draw without an F is already ELEMENTARY, and a level is never raised.
+    for target in (t for t in (Level.CZ_LEVEL, Level.ELEMENTARY) if t <= composite.level):
         lowered = lower(composite, target)
         assert float(np.abs(unitary_of(lowered) - reference).max()) < 1e-12

@@ -116,29 +116,51 @@ def test_gate_invariants_rejected(ctor):
         ctor()
 
 
-def test_circuit_level_restricts_kinds():
-    with pytest.raises(ValueError):
-        Circuit(2, (ROT(1, 0.1),), Level.COMPOSITE)
-    with pytest.raises(ValueError):
-        Circuit(2, (F(1, 2, 0.1),), Level.CZ_LEVEL)
-    with pytest.raises(ValueError):
-        Circuit(2, (CZ(1, 2),), Level.ELEMENTARY)
+@pytest.mark.parametrize(
+    "gates, level",
+    [
+        ((), Level.ELEMENTARY),
+        ((CNOT(1, 2),), Level.ELEMENTARY),
+        ((ROT(1, 0.1), CNOT(2, 1)), Level.ELEMENTARY),
+        ((ROT(1, 0.1),), Level.ELEMENTARY),
+        ((CZ(1, 2),), Level.CZ_LEVEL),
+        ((ROT(1, 0.1), CZ(1, 2), CNOT(2, 1)), Level.CZ_LEVEL),
+        ((F(1, 2, 0.1),), Level.COMPOSITE),
+        ((F(1, 2, 0.1), CNOT(2, 1)), Level.COMPOSITE),
+    ],
+)
+def test_circuit_level_is_the_lowest_that_allows_its_kinds(gates, level):
+    assert Circuit(2, gates).level is level
+
+
+@pytest.mark.parametrize(
+    "gates, kinds",
+    [
+        ((F(1, 2, 0.1), ROT(1, 0.1)), "['F', 'ROT']"),
+        ((CZ(1, 2), F(1, 2, 0.1)), "['CZ', 'F']"),
+        ((F(1, 2, 0.1), CZ(1, 2), ROT(1, 0.1), CNOT(1, 2)), "['CNOT', 'CZ', 'F', 'ROT']"),
+    ],
+)
+def test_circuit_refuses_kinds_that_fit_no_level(gates, kinds):
+    with pytest.raises(ValueError) as info:
+        Circuit(2, gates)
+    assert str(info.value) == f"gate kinds {kinds} fit no lowering level"
 
 
 def test_circuit_rejects_out_of_range_indices():
     with pytest.raises(ValueError):
-        Circuit(2, (CNOT(1, 3),), Level.COMPOSITE)
+        Circuit(2, (CNOT(1, 3),))
     with pytest.raises(ValueError):
-        Circuit(1, (), Level.COMPOSITE)
+        Circuit(1, ())
 
 
 def test_unitary_of_empty_circuit_is_identity():
-    u = unitary_of(Circuit(2, (), Level.COMPOSITE))
+    u = unitary_of(Circuit(2, ()))
     np.testing.assert_array_equal(u, np.eye(4))
 
 
 def test_unitary_of_cnot_is_permutation():
-    u = unitary_of(Circuit(2, (CNOT(1, 2),), Level.COMPOSITE))
+    u = unitary_of(Circuit(2, (CNOT(1, 2),)))
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[1, 1] = expected[3, 2] = expected[2, 3] = 1.0
     np.testing.assert_array_equal(u, expected)
@@ -146,7 +168,7 @@ def test_unitary_of_cnot_is_permutation():
 
 def test_unitary_applies_first_gate_first():
     # X on wire 1, then CNOT(1,2): |00> -> |10> -> |11>.
-    c = Circuit(2, (ROT(1, math.pi / 2), CNOT(1, 2)), Level.ELEMENTARY)
+    c = Circuit(2, (ROT(1, math.pi / 2), CNOT(1, 2)))
     col = unitary_of(c)[:, 0]
     np.testing.assert_allclose(col, [0, 0, 0, 1], atol=1e-15)
 
@@ -168,7 +190,7 @@ def test_unitary_composition_is_associative():
         n = int(rng.integers(2, 5))
         level = Level.COMPOSITE if rng.integers(2) else Level.CZ_LEVEL
         gates = [_random_gate(rng, n, level) for _ in range(3)]
-        u = lambda sub: unitary_of(Circuit(n, tuple(sub), level))
+        u = lambda sub: unitary_of(Circuit(n, tuple(sub)))
         whole = u(gates)
         np.testing.assert_allclose(whole, u(gates[1:]) @ u(gates[:1]), atol=1e-12)
         np.testing.assert_allclose(whole, u(gates[2:]) @ u(gates[:2]), atol=1e-12)
@@ -192,6 +214,6 @@ def test_unitary_column_of_w3_circuit():
 
 
 def test_unitary_size_cap():
-    big = Circuit(11, (CNOT(1, 2),), Level.COMPOSITE)
+    big = Circuit(11, (CNOT(1, 2),))
     with pytest.raises(CapacityError, match=r"capped at 10 qubits \(got 11\)"):
         unitary_of(big)

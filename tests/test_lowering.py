@@ -19,7 +19,7 @@ from wstates import (
 
 
 def test_lower_f_structure():
-    coupler = Circuit(2, (F(1, 2, math.pi / 4),), Level.COMPOSITE)
+    coupler = Circuit(2, (F(1, 2, math.pi / 4),))
     assert lower(coupler, Level.CZ_LEVEL).gates == (
         ROT(2, math.pi / 8),
         CZ(1, 2),
@@ -31,14 +31,14 @@ def test_lower_f_structure():
     "alpha", [0.0, math.pi / 4, math.acos(1 / math.sqrt(3)), 0.3, 1.2, math.pi / 2]
 )
 def test_lower_f_reconstructs_the_coupler(alpha):
-    coupler = Circuit(2, (F(1, 2, alpha),), Level.COMPOSITE)
+    coupler = Circuit(2, (F(1, 2, alpha),))
     u = unitary_of(lower(coupler, Level.CZ_LEVEL))
     np.testing.assert_allclose(u, gate_matrix(F(1, 2, alpha)), atol=1e-14)
 
 
 def test_lower_f_block_for_three_way_split():
     alpha = math.acos(1 / math.sqrt(3))
-    u = unitary_of(lower(Circuit(2, (F(1, 2, alpha),), Level.COMPOSITE), Level.CZ_LEVEL))
+    u = unitary_of(lower(Circuit(2, (F(1, 2, alpha),)), Level.CZ_LEVEL))
     assert abs(u[2, 2] - 1 / math.sqrt(3)) < 1e-14
     assert abs(u[3, 2] - math.sqrt(2 / 3)) < 1e-14
 
@@ -48,14 +48,14 @@ def test_f_at_zero_is_cz():
 
 
 def test_lower_cz_structure():
-    cz = Circuit(2, (CZ(1, 2),), Level.CZ_LEVEL)
+    cz = Circuit(2, (CZ(1, 2),))
     assert lower(cz, Level.ELEMENTARY).gates == (
         ROT(2, math.pi / 4), CNOT(1, 2), ROT(2, math.pi / 4),
     )
 
 
 def test_lower_cz_reconstructs_cz():
-    u = unitary_of(lower(Circuit(2, (CZ(1, 2),), Level.CZ_LEVEL), Level.ELEMENTARY))
+    u = unitary_of(lower(Circuit(2, (CZ(1, 2),)), Level.ELEMENTARY))
     np.testing.assert_allclose(u, np.diag([1.0, 1, 1, -1]), atol=1e-14)
     # |11> picks up the sign, |10> does not.
     assert abs(u[3, 3] + 1) < 1e-14
@@ -93,11 +93,21 @@ def test_invalid_lowering_direction_rejected():
         lower(elementary, Level.COMPOSITE)
     with pytest.raises(ValueError, match="invalid lowering"):
         lower(lower(build_w_circuit(3), Level.CZ_LEVEL), Level.COMPOSITE)
-    # The target is coerced like Circuit's level: a bad one fails before use.
+    # The target is coerced with Level(): a bad one fails before use.
     for bad in (5, -1, "cz"):
         with pytest.raises(ValueError, match=r"is not a valid Level$"):
             lower(elementary, bad)
     assert lower(build_w_circuit(3), 1).level == Level.CZ_LEVEL
+
+
+def test_cnot_only_circuit_is_elementary_and_cannot_be_raised():
+    # Its kinds fit every level, so it is at the lowest, ELEMENTARY, however
+    # it was made; that is also the level a file of it parses to.
+    cnots = Circuit(3, (CNOT(1, 2), CNOT(3, 1)))
+    assert cnots.level == Level.ELEMENTARY
+    assert lower(cnots, Level.ELEMENTARY) is cnots
+    with pytest.raises(ValueError, match="^invalid lowering: ELEMENTARY cannot be raised to CZ_LEVEL$"):
+        lower(cnots, Level.CZ_LEVEL)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -43,7 +43,7 @@ def _shifted_circuit(n: int, position: int, delta: float) -> Circuit:
     cols = build_w_circuit(n).gates
     angle = cols.angle.copy()
     angle[(cols.kind == F_CODE) & (cols.control == position)] += 4.0 * math.radians(delta)
-    return Circuit(n, GateColumns(cols.kind, cols.control, cols.target, angle), Level.COMPOSITE)
+    return Circuit(n, GateColumns(cols.kind, cols.control, cols.target, angle))
 
 
 def _assert_same_state(a, b):

@@ -1,5 +1,6 @@
 """Dense and sparse backends: golden states, cross-checks, invariants."""
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from wstates import (
 )
 from wstates.simulator import resolve_backend
 
-from stepping import step
 
 BACKENDS = ("dense", "sparse")
 
@@ -58,9 +58,9 @@ def test_sparse_state_rejects_out_of_range_keys():
     from wstates import QuantumState
 
     with pytest.raises(ValueError):
-        QuantumState(2, {4: 1.0}, "sparse")
+        QuantumState(2, {4: 1.0})
     with pytest.raises(ValueError):
-        QuantumState(2, {-1: 1.0}, "sparse")
+        QuantumState(2, {-1: 1.0})
 
 
 @pytest.mark.parametrize("key", [1.5, "1"])
@@ -68,13 +68,13 @@ def test_sparse_state_rejects_keys_that_are_not_integers(key):
     from wstates import QuantumState
 
     with pytest.raises(ValueError, match=rf"basis index {key!r} is not an integer"):
-        QuantumState(2, {key: 1.0}, "sparse")
+        QuantumState(2, {key: 1.0})
 
 
 def test_sparse_state_accepts_numpy_integer_keys():
     from wstates import QuantumState
 
-    state = QuantumState(2, {np.int64(1): 1.0}, "sparse")
+    state = QuantumState(2, {np.int64(1): 1.0})
     assert state.amplitudes == {1: 1.0}
     assert type(next(iter(state.amplitudes))) is int
 
@@ -89,7 +89,7 @@ def test_complex_amplitudes_are_rejected(backend):
         cases = [np.array([1 + 0.5j, 0, 0, 0]), ["1", "0", "0", "0"], [None, 1, 0, 0]]
     for amplitudes in cases:
         with pytest.raises(ValueError, match="^amplitudes must be real$"):
-            QuantumState(2, amplitudes, backend)
+            QuantumState(2, amplitudes)
 
 
 def test_w_reference_amplitudes():
@@ -105,7 +105,7 @@ def test_w_reference_amplitudes():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_apply_coupler_splits_amplitude(backend):
     state = basis_state(3, "VHH", backend=backend)
-    out = step(state, F(1, 2, math.acos(1 / math.sqrt(3))))
+    out = run(Circuit(state.n, (F(1, 2, math.acos(1 / math.sqrt(3))),)), state)
     assert abs(out.amplitude(4) - 1 / math.sqrt(3)) < 1e-15      # |VHH>
     assert abs(out.amplitude(6) - math.sqrt(2 / 3)) < 1e-15      # |VVH>
     assert out.support_size() == 2
@@ -114,7 +114,7 @@ def test_apply_coupler_splits_amplitude(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_apply_cnot_moves_the_v(backend):
     state = basis_state(3, "VVH", backend=backend)
-    out = step(state, CNOT(2, 1))
+    out = run(Circuit(state.n, (CNOT(2, 1),)), state)
     assert out.amplitude(2) == 1.0                               # |HVH>
     assert out.support_size() == 1
 
@@ -122,15 +122,15 @@ def test_apply_cnot_moves_the_v(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cz_fixes_states_without_double_v(backend):
     state = basis_state(3, "VHH", backend=backend)
-    out = step(state, CZ(1, 2))
+    out = run(Circuit(state.n, (CZ(1, 2),)), state)
     assert out.amplitude(4) == 1.0
-    flipped = step(basis_state(3, "VVH", backend=backend), CZ(1, 2))
+    flipped = run(Circuit(3, (CZ(1, 2),)), basis_state(3, "VVH", backend=backend))
     assert flipped.amplitude(6) == -1.0
 
 
 def test_stepping_rejects_out_of_range_wires():
     with pytest.raises(ValueError, match=r"^gate .+ exceeds 2 qubits$"):
-        step(basis_state(2, "HH"), CNOT(1, 3))
+        run(Circuit(2, (CNOT(1, 3),)), basis_state(2, "HH"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -146,7 +146,7 @@ def test_golden_w_states(n, backend):
 
 def test_empty_circuit_is_identity():
     state = basis_state(2, "HV", backend="dense")
-    out = run(Circuit(2, (), Level.ELEMENTARY), state)
+    out = run(Circuit(2, ()), state)
     assert out.amplitude(1) == 1.0
 
 
@@ -167,7 +167,7 @@ def test_fidelity_basics():
 
 def test_fidelity_of_unequal_sparse_supports_is_symmetric():
     a = basis_state(3, "VHH", "sparse")
-    b = QuantumState(3, {4: 0.6, 2: 0.8}, "sparse")
+    b = QuantumState(3, {4: 0.6, 2: 0.8})
     assert fidelity(a, b) == fidelity(b, a) == 0.6 * 0.6
 
 
@@ -215,7 +215,7 @@ def test_lowered_circuits_simulate_identically():
 def test_sparse_support_never_exceeds_n(n):
     state = _input(n, "sparse")
     for g in build_w_circuit(n).gates:
-        state = step(state, g)
+        state = run(Circuit(state.n, (g,)), state)
         assert state.support_size() <= n
     assert state.support_size() == n
 
@@ -224,7 +224,7 @@ def test_sparse_support_never_exceeds_n(n):
 def test_single_gate_application_preserves_norm(backend):
     state = _input(6, backend)
     for g in build_w_circuit(6).gates:
-        state = step(state, g)
+        state = run(Circuit(state.n, (g,)), state)
         assert abs(state.norm_squared() - 1.0) < 1e-13
 
 
@@ -255,7 +255,7 @@ def test_dense_capacity_enforced():
     with pytest.raises(CapacityError):
         run(build_w_circuit(26), _input(26, "sparse"), backend="dense")
     with pytest.raises(CapacityError, match=r"sparse backend capped at 10000 qubits"):
-        run(Circuit(10001, (), Level.COMPOSITE), _input(10001, "sparse"), backend="sparse")
+        run(Circuit(10001, ()), _input(10001, "sparse"), backend="sparse")
     # the guard fires before any 2**n allocation is attempted, with the one
     # message resolve_backend gives
     message = r"^dense backend capped at 24 qubits \(got 40\)$"
@@ -330,7 +330,7 @@ def test_dump_breaks_amplitude_ties_by_bitstring():
     # Two quarter-pi mixes leave |01> and |10> with the exact same float
     # magnitude (c*s both ways), so their order falls back to the bitstring.
     state = run(
-        Circuit(2, (ROT(1, math.pi / 4), ROT(2, math.pi / 4)), Level.ELEMENTARY),
+        Circuit(2, (ROT(1, math.pi / 4), ROT(2, math.pi / 4))),
         basis_state(2, "HH", backend="dense"),
     )
     lines = dump_state(state).splitlines()
@@ -373,7 +373,7 @@ _small_circuits = st.integers(2, 4).flatmap(
 @given(_small_circuits)
 def test_backend_equivalence_on_random_circuits(drawn):
     n, gates = drawn
-    circuit = Circuit(n, tuple(gates), Level.CZ_LEVEL)
+    circuit = Circuit(n, tuple(gates))
     dense = run(circuit, basis_state(n, "H" * n, backend="dense"), backend="dense")
     sparse = run(circuit, basis_state(n, "H" * n, backend="sparse"), backend="sparse")
     diff = np.abs(dense.amplitudes - sparse.to_dense().amplitudes)
@@ -386,12 +386,12 @@ def test_backend_equivalence_on_random_circuits(drawn):
 def _drifted(n, index):
     from wstates import QuantumState
 
-    return QuantumState(n, {index: math.sqrt(1 + 5e-10)}, "sparse")
+    return QuantumState(n, {index: math.sqrt(1 + 5e-10)})
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_check_norm_reports_drift(backend):
-    circuit = Circuit(2, (ROT(1, 0.3), ROT(2, 0.4)), Level.ELEMENTARY)
+    circuit = Circuit(2, (ROT(1, 0.3), ROT(2, 0.4)))
     with pytest.raises(
         RuntimeError,
         match=r"^norm drifted to 1\.0000000005 after Gate\(kind='ROT', target=1, ",
@@ -405,7 +405,7 @@ def test_check_norm_reports_drift(backend):
 def test_check_norm_names_the_last_gate_of_an_op(backend):
     # Both engines run CNOT(2,1), CNOT(3,1) as one fused op and check the
     # norm after it, so the report names its last gate.
-    circuit = Circuit(3, (CNOT(2, 1), CNOT(3, 1), ROT(1, 0.2)), Level.ELEMENTARY)
+    circuit = Circuit(3, (CNOT(2, 1), CNOT(3, 1), ROT(1, 0.2)))
     with pytest.raises(
         RuntimeError, match=r"after Gate\(kind='CNOT', target=1, control=3,"
     ):
@@ -427,12 +427,19 @@ def test_run_rejects_unknown_backend():
 
 def test_quantum_state_rejects_wrong_dense_length():
     with pytest.raises(ValueError, match=r"^dense amplitude array has wrong length$"):
-        QuantumState(2, [1.0, 0.0, 0.0], "dense")
+        QuantumState(2, [1.0, 0.0, 0.0])
 
 
-def test_quantum_state_rejects_unknown_backend():
-    with pytest.raises(ValueError, match=r"^unknown backend 'Dense'$"):
-        QuantumState(2, {0: 1.0}, "Dense")
+def test_quantum_state_backend_follows_its_storage():
+    for amplitudes in ({2: 1.0}, MappingProxyType({2: 1.0})):
+        state = QuantumState(2, amplitudes)
+        assert state.backend == "sparse" and type(state.amplitudes) is dict
+    for amplitudes in (np.array([0.0, 0.0, 1.0, 0.0]), [0.0, 0.0, 1.0, 0.0], (0, 0, 1, 0)):
+        state = QuantumState(2, amplitudes)
+        assert state.backend == "dense" and isinstance(state.amplitudes, np.ndarray)
+        assert state.to_sparse().amplitudes == {2: 1.0}
+    # An array is dense, whatever a caller meant it to be.
+    assert QuantumState(2, np.array([1.0, 0, 0, 0])).backend == "dense"
 
 
 def test_auto_basis_state_applies_the_sparse_run_cap():
@@ -457,7 +464,7 @@ def test_basis_state_rejects_unknown_backend(backend):
 def test_nan_amplitudes_fail_the_norm_check(backend):
     amplitudes = {1: math.nan} if backend == "sparse" else [0.0, math.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="not normalized"):
-        QuantumState(2, amplitudes, backend)
+        QuantumState(2, amplitudes)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64, 65, 128, 129, 300])
