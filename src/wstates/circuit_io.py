@@ -31,6 +31,7 @@ from .gates import (
     CNOT_CODE,
     F_CODE,
     KIND_CODES,
+    MAX_QUBITS,
     ROT_CODE,
     Circuit,
     GateColumns,
@@ -40,7 +41,6 @@ from .gates import (
 _HEADER = "wcircuit"
 _VERSION = "1"
 _ARITY = {"F": 3, "CNOT": 2, "CZ": 2, "ROT": 2}
-_MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -116,7 +116,7 @@ def parse_circuit(text: str) -> Circuit:
     lineno, qubits_row = second
     if len(qubits_row) != 2:
         raise CircuitParseError(f"line {lineno}: 'qubits' takes one field")
-    n = _parse_index(qubits_row[1], _MAX_QUBITS, lineno, "qubit count")
+    n = _parse_index(qubits_row[1], MAX_QUBITS, lineno, "qubit count")
     if n < 2:
         raise CircuitParseError(f"line {lineno}: need at least 2 qubits")
 

@@ -47,6 +47,7 @@ KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
 ANGLED_KINDS = frozenset({"F", "ROT"})
 
 UNITARY_QUBIT_CAP = 10
+MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 # Most rows a verb writes: the gates `synth` emits (n = 2047 at most) or the
 # lines of an `angles` or `growth` table.  At the cap, on 2 Xeon vCPUs with
 # Python 3.11 and numpy 2.4, `synth` takes 2.1 s and 440 MB, `angles` 4.1 s
@@ -282,8 +283,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
-        if self.n_qubits < 2:
-            raise ValueError("circuits need at least 2 qubits")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"circuits need 2 to {MAX_QUBITS} qubits, got {self.n_qubits}")
         cols = self.gates
         if not isinstance(cols, GateColumns):
             cols = columns_of(cols)
@@ -314,9 +315,9 @@ class Circuit:
         """The gates as ops (kind code, control, target, angle), in order: a
         maximal run of consecutive CNOTs that share a target is one op, with
         the run's int32 control column; any other gate is one op, with an int
-        control (0 for ROT).  A run is exact as one op: no control of the run
-        is its target, so its CNOTs commute and flip the target once, under
-        the parity of the controls."""
+        control (0 for ROT).  A run keeps a fan-in layer whole, so that
+        simulator._plan can see a nested chain of layers and apply it as a
+        ladder of single CNOTs."""
         cols = self.gates
         cnot = cols.kind == CNOT_CODE
         joins = cnot[1:] & cnot[:-1] & (cols.target[1:] == cols.target[:-1])

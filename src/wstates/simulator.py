@@ -17,17 +17,16 @@ ops() to _execute, its only caller.  A Circuit's ops come from its gate
 columns (see gates.py): each fan-in layer, a maximal run of consecutive
 CNOTs that share a target, is one op, every other gate its own.  The W
 network (synthesis.WNetwork) yields the same ops from its closed form.
+_plan turns them into single gates for both engines: a nested chain of
+fan-in layers becomes a CNOT ladder, any other run its CNOTs in order.
 _execute's loop is the only op loop and the only dispatch on gate kind; with
-check_norm it checks the norm after each op.  An engine only says how to
-apply an op, through cnots(controls, target), cz(control, target) and
-mix(control or None, target, angle).  A CNOT run flips the target where
-the controls that occur an odd number of times have odd parity (the same
-bits as one CNOT at a time).  The dense engine splits it on the first of
-them and swaps each quarter's target halves under one parity mask of the
-rest, in scratch it owns, so no op allocates.  The sparse engine keeps each
-key as 64-bit words beside an amplitude vector: a CNOT run is one parity
-mask, the XOR of the control bits, a CZ is one masked sign flip, and mix
-pairs rows by one stable sort.  Keys cross its boundary in one bytes buffer.
+check_norm it checks the norm after each gate.  An engine applies one gate:
+cnot(control, target), cz(control, target) or mix(control or None, target,
+angle).  The dense engine swaps the control=1 quarter's target halves, and
+mixes, in scratch it owns, so no gate allocates.  The sparse engine keeps
+each key as 64-bit words beside an amplitude vector (crossing its boundary
+in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
+control, a CZ is one masked sign flip, and mix pairs rows by one stable sort.
 A mix appends every missing partner; _compact, which ends each mix, is the
 only place that drops rows, those below PRUNE_THRESHOLD (numerically-zero
 residue with this circuit family).  Its support is not known in advance, so
@@ -201,7 +200,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return overlap * overlap
 
 
-# --- engines: cnots, cz, mix, live, amplitudes ----------------------------
+# --- engines: cnot, cz, mix, live, amplitudes -----------------------------
 
 def _ix(t: np.ndarray, *held: tuple[int, int]) -> tuple:
     """Index into t where each (qubit, bit) is held, at length 1, so no view is 0-d."""
@@ -216,43 +215,24 @@ class _DenseEngine:
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         self.t = amplitudes.reshape((2,) * n).copy()
-        self.scratch = {np.float64: np.empty(0), np.bool_: np.empty(0, bool)}
+        self.scratch = np.empty(0)
 
-    def _scratch(self, dtype, shape: tuple) -> np.ndarray:
-        # Kept at the largest size an op has needed, so an op allocates nothing.
+    def _scratch(self, shape: tuple) -> np.ndarray:
+        # Kept at the largest size a gate has needed, so a gate allocates nothing.
         size = math.prod(shape)
-        if self.scratch[dtype].size < size:
-            self.scratch[dtype] = np.empty(size, dtype)
-        return self.scratch[dtype][:size].reshape(shape)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        return self.scratch[:size].reshape(shape)
 
-    def _swap(self, held: tuple[int, int], target: int, where) -> None:
-        a, b = (self.t[_ix(self.t, held, (target, bit))] for bit in (0, 1))
+    def cnot(self, control: int, target: int) -> None:
+        a, b = (self.t[_ix(self.t, (control, 1), (target, bit))] for bit in (0, 1))
         # Through buffers: a copy between two views of one array would make
         # numpy allocate an overlap temporary.
-        tmp_a, tmp_b = self._scratch(np.float64, (2, *a.shape))
+        tmp_a, tmp_b = self._scratch((2, *a.shape))
         np.copyto(tmp_a, a)
         np.copyto(tmp_b, b)
-        np.copyto(a, tmp_b, where=where)
-        np.copyto(b, tmp_a, where=where)
-
-    def cnots(self, controls: np.ndarray, target: int) -> None:
-        """Flip the target where the odd-count controls have odd parity."""
-        odd = np.flatnonzero(np.bincount(controls) & 1).tolist()
-        if not odd:
-            return
-        # In the quarter where the first of them is b, swap the target halves
-        # where the rest have parity 1 - b, which is 0 if there is no rest.
-        first, rest = odd[0], odd[1:]
-        where = True
-        if rest:
-            where = self._scratch(np.bool_, self.t[_ix(self.t, (first, 0), (target, 0))].shape)
-            where.fill(False)
-            for control in rest:
-                ones = where[_ix(where, (control, 1))]
-                np.logical_not(ones, out=ones)
-            self._swap((first, 0), target, where)
-            np.logical_not(where, out=where)
-        self._swap((first, 1), target, where)
+        np.copyto(a, tmp_b)
+        np.copyto(b, tmp_a)
 
     def cz(self, control: int, target: int) -> None:
         self.t[_ix(self.t, (control, 1), (target, 1))] *= -1.0
@@ -263,7 +243,7 @@ class _DenseEngine:
         c, s = math.cos(alpha), math.sin(alpha)
         # a, b = c * a + s * b, s * a - c * b: every operand is a buffer or
         # the output itself, so numpy needs no temporary.
-        sa, sb = self._scratch(np.float64, (2, *a.shape))
+        sa, sb = self._scratch((2, *a.shape))
         np.multiply(a, s, out=sa)
         np.multiply(a, c, out=a)
         np.multiply(b, s, out=sb)
@@ -333,15 +313,9 @@ class _SparseEngine:
         word, bit = self._bit(qubit)
         return self.keys[word, : self.m] & bit != 0
 
-    def cnots(self, controls: np.ndarray, target: int) -> None:
-        """Flip the target where the key has odd parity under the run's mask.
-        The mask is the XOR of the control bits, so a repeated control cancels."""
-        m = self.m
-        flips = np.bincount(self.offset + controls, minlength=64 * self.w) & 1
-        mask = np.packbits(flips).view(">u8").astype(np.uint64)
-        parity = np.bitwise_count(np.bitwise_xor.reduce(self.keys[:, :m] & mask[:, None], axis=0))
+    def cnot(self, control: int, target: int) -> None:
         word, bit = self._bit(target)
-        self.keys[word, :m] ^= (parity & 1) * np.uint64(bit)
+        self.keys[word, : self.m] ^= self._has(control) * np.uint64(bit)
 
     def cz(self, control: int, target: int) -> None:
         self.amps[: self.m][self._has(control) & self._has(target)] *= -1.0
@@ -428,15 +402,39 @@ def resolve_backend(n: int, backend: str) -> str:
     return backend
 
 
+def _plan(ops):
+    """The ops as single gates: every CNOT with an int control, every other
+    op passed through.  A run with controls [t, *C] onto u, right after a run
+    with controls C onto t, flips u by the old bit t, so it is CNOT(t, u)
+    applied before that run.  A chain of such runs is therefore its rungs,
+    last first, then the chain's first run as single CNOTs; any other run is
+    its CNOTs in order.  Holds one run's controls and the pending CNOTs."""
+    pending = []  # (control, target) of the CNOTs still to emit, last first
+    for op in ops:
+        kind, control, target, _ = op
+        if (kind == CNOT_CODE and pending and control[0] == pending[-1][1]
+                and np.array_equal(control[1:], controls)):
+            pending.append((pending[-1][1], target))
+        else:
+            yield from ((CNOT_CODE, c, t, 0.0) for c, t in reversed(pending))
+            pending = []
+            if kind == CNOT_CODE:
+                pending = [(c, target) for c in reversed(control.tolist())]
+            else:
+                yield op
+        controls = control
+    yield from ((CNOT_CODE, c, t, 0.0) for c, t in reversed(pending))
+
+
 def _execute(state: QuantumState, ops, check_norm: bool) -> QuantumState:
-    """Run the ops on the state's own backend, one at a time; with
-    check_norm, fail at the first op after which the norm leaves 1 by more
-    than 1e-10, naming the op's last gate."""
+    """Run the planned gates on the state's own backend, one at a time; with
+    check_norm, fail at the first gate after which the norm leaves 1 by more
+    than 1e-10, naming that gate."""
     engine_type = _DenseEngine if state.backend == "dense" else _SparseEngine
     engine = engine_type(state.n, state.amplitudes)
-    for kind, control, target, angle in ops:
+    for kind, control, target, angle in _plan(ops):
         if kind == CNOT_CODE:
-            engine.cnots(control, target)
+            engine.cnot(control, target)
         elif kind == CZ_CODE:
             engine.cz(control, target)
         else:
@@ -445,8 +443,8 @@ def _execute(state: QuantumState, ops, check_norm: bool) -> QuantumState:
             live = engine.live()
             norm_sq = float(np.dot(live, live))
             if abs(norm_sq - 1.0) > 1e-10:
-                last = _gate_of(kind, int(np.atleast_1d(control)[-1]), target, angle)
-                raise RuntimeError(f"norm drifted to {norm_sq!r} after {last}")
+                gate = _gate_of(kind, control, target, angle)
+                raise RuntimeError(f"norm drifted to {norm_sq!r} after {gate}")
     return QuantumState(state.n, engine.amplitudes())
 
 

@@ -128,6 +128,18 @@ def test_qubit_count_beyond_int32_rejected_with_line_number():
         parse_circuit(f"wcircuit 1\nqubits {big}\nCNOT {big} 1\n")
 
 
+def test_every_circuit_that_builds_reads_back():
+    # The largest qubit count a Circuit takes is the largest a file may name.
+    with pytest.raises(ValueError, match=r"^circuits need 2 to 2147483647 qubits, got 2147483648$"):
+        Circuit(2**31, ())
+    circuit = Circuit(2**31 - 1, (CNOT(1, 2),))
+    text = serialize_circuit(circuit)
+    assert text == "wcircuit 1\nqubits 2147483647\nCNOT 1 2\n"
+    back = parse_circuit(text)
+    assert back.n_qubits == circuit.n_qubits and back.gates == circuit.gates
+    assert serialize_circuit(back) == text
+
+
 def _gates_of(kinds, n):
     pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
     angles = st.floats(allow_nan=False, allow_infinity=False)

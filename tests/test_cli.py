@@ -174,6 +174,13 @@ def test_verify_sparse_500(capsys):
     assert float(out.split("fidelity=")[1]) >= 1 - 1e-10
 
 
+def test_verify_at_the_sparse_cap(capsys):
+    # About a second: the fan-in chain runs as a ladder of single CNOTs.
+    code, out, _ = cli(capsys, "verify", "--n", "10000")
+    assert code == 0
+    assert out == "n=10000 fidelity=1.000000000000\n"
+
+
 def test_verify_3_to_16_under_ten_seconds(capsys):
     start = time.perf_counter()
     for n in range(3, 17):

@@ -1,10 +1,11 @@
 """Three independent simulators on random circuits: dense, sparse, unitary_of.
 
-The circuits mix single gates with runs of CNOTs onto one target, which
-both engines apply as one fused op, so every engine method is exercised:
-cnots, cz (at the CZ level) and mix.  Past the dense cap, the sparse engine
-is held to _oracle, a dict engine on Python int keys, bit for bit and in
-entry order, on sizes that straddle 64-bit word boundaries.
+The circuits mix single gates with runs of CNOTs onto one target and with
+nested fan-in chains, which both engines apply as a CNOT ladder (see
+simulator._plan), so every engine method is exercised: cnot, cz (at the CZ
+level) and mix.  Past the dense cap, the sparse engine is held to _oracle,
+a dict engine on Python int keys, bit for bit and in entry order, on sizes
+that straddle 64-bit word boundaries.
 """
 import math
 
@@ -68,6 +69,28 @@ def _cnot_run(wires):
     )
 
 
+def _chain(n, wires, single):
+    """A nested fan-in chain of 1-5 runs: each run's controls are the previous
+    run's target, then the previous run's controls.  The first run's 1-3
+    controls may repeat, and a single gate may break the chain between runs."""
+
+    def gates(targets, first, cut, breaker):
+        out = []
+        for k, t in enumerate(targets):
+            if k == cut:
+                out.append(breaker)
+            out += [CNOT(c, t) for c in (*targets[:k][::-1], *first)]
+        return out
+
+    def for_targets(targets):
+        first = st.lists(wires.filter(lambda w: w not in targets), min_size=1, max_size=3)
+        # cut == len(targets) leaves the chain whole.
+        cut = st.integers(1, len(targets))
+        return st.builds(gates, st.just(targets), first, cut, single)
+
+    return st.lists(wires, min_size=1, max_size=min(5, n - 1), unique=True).flatmap(for_targets)
+
+
 def _circuits(level, sizes=st.integers(2, 6), wire=_any_wire, inputs=_any_input):
     def for_size(n):
         wires = wire(n)
@@ -80,7 +103,8 @@ def _circuits(level, sizes=st.integers(2, 6), wire=_any_wire, inputs=_any_input)
             )
         else:
             single = st.builds(ROT, wires, ANGLES)
-        blocks = st.lists(st.one_of(single.map(lambda g: [g]), _cnot_run(wires)), max_size=8)
+        block = st.one_of(single.map(lambda g: [g]), _cnot_run(wires), _chain(n, wires, single))
+        blocks = st.lists(block, max_size=8)
         return st.tuples(
             st.just(n), blocks.map(lambda bs: tuple(g for b in bs for g in b)), inputs(n)
         )
@@ -116,7 +140,7 @@ def _check_three_ways(circuit, bits):
     sparse = run(circuit, basis_state(n, bits, backend="sparse"), backend="sparse")
     assert float(np.abs(dense.amplitudes - column).max()) < 1e-12
     assert float(np.abs(sparse.to_dense().amplitudes - column).max()) < 1e-12
-    # Fused CNOT runs give the same bits as applying one gate at a time.
+    # Planned runs and ladders give the same bits as one gate at a time.
     dense_steps = basis_state(n, bits, backend="dense")
     sparse_steps = basis_state(n, bits, backend="sparse")
     for g in circuit.gates:
@@ -136,14 +160,22 @@ def _check_three_ways(circuit, bits):
 @example((3, (F(1, 2, 0.7), F(1, 3, 0.3)), "100"))
 @example((4, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 4, 0.5)), "1000"))
 @example((3, (F(1, 2, 0.7), F(2, 3, 0.3), F(1, 3, 0.5)), "100"))
-# Fused CNOT runs on the dense engine: a run whose one control occurs twice
-# cancels; a control that occurs three times counts once; controls on both
-# sides of the target; and n=2, where a quarter holds one amplitude.
+# CNOT runs: a run whose one control occurs twice cancels; a control that
+# occurs three times counts once; controls on both sides of the target; and
+# n=2, where a quarter holds one amplitude.
 @example((3, (F(1, 3, 0.7), CNOT(3, 2), CNOT(3, 2)), "100"))
 @example((4, (F(1, 2, 0.7), F(1, 3, 0.4), CNOT(2, 4), CNOT(3, 4), CNOT(2, 4), CNOT(2, 4)), "1000"))
 @example((5, (F(1, 2, 0.7), F(1, 4, 0.3), F(4, 5, 0.9), CNOT(2, 3), CNOT(5, 3), CNOT(4, 3)), "10000"))
 @example((2, (F(1, 2, 0.7), CNOT(2, 1)), "10"))
 @example((2, (CNOT(1, 2), CNOT(1, 2), CNOT(1, 2)), "10"))
+# Chains of length 1 and 2; a repeated control in the first run; a chain
+# broken by a mix; and a chain right after an unrelated run onto its first
+# control, which it does not extend.
+@example((4, (F(1, 2, 0.7), F(1, 4, 0.4), CNOT(2, 3), CNOT(4, 3)), "1000"))
+@example((4, (F(1, 2, 0.7), F(1, 4, 0.4), CNOT(4, 3), CNOT(3, 2), CNOT(4, 2)), "1000"))
+@example((4, (F(1, 4, 0.7), CNOT(4, 3), CNOT(4, 3), CNOT(3, 2), CNOT(4, 2), CNOT(4, 2)), "1000"))
+@example((4, (F(1, 4, 0.7), CNOT(4, 3), F(1, 3, 0.5), CNOT(3, 2), CNOT(4, 2)), "1000"))
+@example((4, (F(1, 2, 0.7), CNOT(1, 4), CNOT(4, 3), CNOT(3, 2), CNOT(4, 2)), "1000"))
 def test_composite_circuits_agree_three_ways(drawn):
     n, gates, bits = drawn
     _check_three_ways(Circuit(n, gates), bits)
@@ -172,6 +204,23 @@ def test_wide_circuits_match_the_oracle(level, data):
     n, gates, bits = data.draw(_circuits(level, WIDE_SIZES, _edge_wire, _few_vs))
     out = run(Circuit(n, gates), basis_state(n, bits, backend="sparse"))
     assert list(out.amplitudes.items()) == _oracle(n, gates, bits)
+
+
+# A chain whose targets and first-run controls sit on both sides of each
+# 64-bit word boundary, from an input with a V on a word's last wire.
+_WIDE_CHAIN = tuple(
+    CNOT(c, t)
+    for k, t in enumerate((64, 65, 128, 129, 1))
+    for c in (*(64, 65, 128, 129, 1)[:k][::-1], 63, 130, 63)
+)
+
+
+def test_wide_chain_matches_the_oracle():
+    n, bits = 130, "H" * 62 + "V" + "H" * 66 + "V"
+    circuit = Circuit(n, (F(63, 64, 0.7), F(130, 129, 0.4)) + _WIDE_CHAIN)
+    out = run(circuit, basis_state(n, bits, backend="sparse"))
+    assert list(out.amplitudes.items()) == _oracle(n, circuit.gates, bits)
+    assert len(out.amplitudes) == 4
 
 
 @pytest.mark.parametrize("level", list(Level), ids=lambda level: level.name)

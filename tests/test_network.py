@@ -13,9 +13,11 @@ from wstates import (
     WNetwork,
     basis_state,
     build_w_circuit,
+    lower,
     run,
 )
 from wstates.gates import CNOT_CODE, F_CODE
+from wstates.simulator import _plan
 
 DELTAS = (0.0, 0.1, 0.5, 1.337, 2.0)  # plate-angle offsets, degrees
 
@@ -61,6 +63,36 @@ def _assert_same_state(a, b):
 def test_network_ops_are_the_fusion_plan_of_the_built_circuit(sizes):
     for n in sizes:
         _assert_same_ops(WNetwork(n).ops(), build_w_circuit(n).ops())
+
+
+def _planned(circuit):
+    """The circuit's plan, checked to be single gates of the circuit."""
+    planned = list(_plan(circuit.ops()))
+    assert all(type(c) is int for _, c, _, _ in planned)
+    gates = set(zip(circuit.gates.kind.tolist(), circuit.gates.control.tolist(),
+                    circuit.gates.target.tolist()))
+    assert {(k, c, t) for k, c, t, _ in planned} <= gates
+    return planned
+
+
+def test_plan_of_the_network_is_2n_single_gates():
+    # The fan-in layers form one chain: a 3-control head and n - 4 rungs.
+    for n in range(3, 201):
+        planned = _planned(build_w_circuit(n))
+        # n = 3 has no fan-in layer, and its 4 gates are the whole network.
+        assert len(planned) == (2 * n if n > 3 else 4)
+        assert list(_plan(WNetwork(n).ops())) == planned
+
+
+@pytest.mark.parametrize("level", [Level.CZ_LEVEL, Level.ELEMENTARY], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("n", [3, 4, 5, 65, 130])
+def test_plan_of_the_lowered_network_is_single_gates(n, level):
+    circuit = lower(build_w_circuit(n), level)
+    planned = _planned(circuit)
+    # Lowering leaves the CNOT layers alone, so the chain saves as much.
+    composite = build_w_circuit(n)
+    saved = len(composite.gates) - len(_planned(composite))
+    assert len(planned) == len(circuit.gates) - saved
 
 
 @pytest.mark.parametrize("n", [3, 4, 11, 60])

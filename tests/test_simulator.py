@@ -402,12 +402,13 @@ def test_check_norm_reports_drift(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_check_norm_names_the_last_gate_of_an_op(backend):
-    # Both engines run CNOT(2,1), CNOT(3,1) as one fused op and check the
-    # norm after it, so the report names its last gate.
-    circuit = Circuit(3, (CNOT(2, 1), CNOT(3, 1), ROT(1, 0.2)))
+def test_check_norm_names_a_planned_rung(backend):
+    # The run CNOT(2,1) CNOT(3,1) extends the chain started by CNOT(3,2), so
+    # both engines apply the rung CNOT(2,1) first and check the norm after
+    # it: the report names that gate, which is a gate of the circuit.
+    circuit = Circuit(3, (CNOT(3, 2), CNOT(2, 1), CNOT(3, 1)))
     with pytest.raises(
-        RuntimeError, match=r"after Gate\(kind='CNOT', target=1, control=3,"
+        RuntimeError, match=r"after Gate\(kind='CNOT', target=1, control=2, angle=None\)$"
     ):
         run(circuit, _drifted(3, 4), backend=backend, check_norm=True)
 
