@@ -1,6 +1,6 @@
 """Reader and writer for the line-oriented "wcircuit v1" text format.
 
-Layout (UTF-8, LF endings):
+Layout:
 
     wcircuit 1
     qubits <n>
@@ -12,12 +12,24 @@ Layout (UTF-8, LF endings):
 Gate lines appear in application order with 1-based indices; angles are
 decimal radians printed with 17 significant digits so floats round-trip
 bit-exactly.  `#` starts a comment anywhere on a line; blank lines are
-ignored.  Fields are separated by whitespace.  The qubit count and every
+ignored.  The writer emits UTF-8 with LF line endings and one space between
+fields.  The reader takes the line breaks of `str.splitlines` (LF, CR, CR LF,
+VT, FF, U+001C-U+001E, U+0085, U+2028, U+2029) and separates fields by runs
+of the other `str.split` whitespace as well (space, tab, U+001F, U+00A0,
+U+1680, U+2000-U+200A, U+202F, U+205F, U+3000).  The qubit count and every
 index are one or more ASCII digits: no sign, no `_`, no other script's
 digits.  An angle is a finite decimal float in ASCII with no `_`, sign and
 exponent allowed (`-0.5`, `1e+20`).  Parsing is strict: unknown keywords,
 bad tokens, out-of-range indices, missing or extra fields, and gate kinds
 that fit no lowering level are hard errors.
+
+The parser reads the whole text in one pass of array operations, with no
+loop over lines.  It maps the text to one byte per character and finds each
+token's start and end, each line's first token and the start of its comment.
+It reads every keyword from its bytes and every index with a fixed-width
+digit gather; only angles go through float(), one token at a time.  Each
+grammar rule is a mask over the gate lines, and an error names the first
+line any mask marks and the first rule that line breaks.
 
 The format carries no lowering level: a Circuit reads its level off its
 gate kinds (see gates.Circuit).
@@ -26,11 +38,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import CircuitParseError
 from .gates import (
     CNOT_CODE,
     F_CODE,
-    KIND_CODES,
+    GATE_KINDS,
     MAX_QUBITS,
     ROT_CODE,
     Circuit,
@@ -40,7 +54,20 @@ from .gates import (
 
 _HEADER = "wcircuit"
 _VERSION = "1"
-_ARITY = {"F": 3, "CNOT": 2, "CZ": 2, "ROT": 2}
+# Byte tables for bytes.translate: 1 where a Latin-1 byte may be part of a
+# token (neither a str.split separator nor `#`), and 1 where str.splitlines
+# breaks a line.
+_WORD = bytes(not (c.isspace() or c == "#") for c in map(chr, range(256)))
+_BREAK = bytes(len(f"x{c}x".splitlines()) == 2 for c in map(chr, range(256)))
+# The separators above U+00FF, as a Latin-1 one of the same class.  The line
+# breaks become VT, not LF, which a CR before them would pair with.
+_WIDE_SEPARATORS = str.maketrans(
+    {0x2028: "\v", 0x2029: "\v"}
+    | dict.fromkeys([0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000], " ")
+)
+_WRITE_BLOCK = 4096  # gate lines serialize_circuit formats before joining them
+_UINT32_DIGITS = 9  # a uint32 holds every decimal of this many digits
+_TOO_BIG = MAX_QUBITS + 1  # past every qubit count and index bound
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -48,109 +75,192 @@ def serialize_circuit(circuit: Circuit) -> str:
 
     ELEMENTARY circuits annotate each ROT line with the physical
     half-wave-plate angle alpha/2, the knob an experimenter actually sets.
+    Lines are joined a block at a time, so the line strings of one block at
+    most are alive at once.
     """
     plate_comments = circuit.level == Level.ELEMENTARY
-    lines = [f"{_HEADER} {_VERSION}", f"qubits {circuit.n_qubits}"]
+    blocks = [f"{_HEADER} {_VERSION}\nqubits {circuit.n_qubits}\n"]
     cols = circuit.gates
-    for kind, control, target, angle in zip(
-        cols.kind.tolist(), cols.control.tolist(), cols.target.tolist(),
-        cols.angle.tolist(),
-    ):
-        if kind == CNOT_CODE:  # by far the most common line
-            lines.append(f"CNOT {control} {target}")
-        elif kind == F_CODE:
-            lines.append(f"F {control} {target} {angle:.17g}")
-        elif kind == ROT_CODE:
-            line = f"ROT {target} {angle:.17g}"
-            if plate_comments:
-                line += f" # plate_angle_deg={math.degrees(angle / 2):.12g}"
-            lines.append(line)
-        else:
-            lines.append(f"CZ {control} {target}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_index(token: str, bound: int, lineno: int, what: str = "qubit index") -> int:
-    try:
-        if not (token.isascii() and token.isdigit()):
-            raise ValueError  # int() would also take a sign, `_` and other digits
-        value = int(token)
-    except ValueError:
-        raise CircuitParseError(f"line {lineno}: bad {what} {token!r}") from None
-    if not 1 <= value <= bound:
-        raise CircuitParseError(f"line {lineno}: {what} {value} outside [1, {bound}]")
-    return value
-
-
-def _parse_angle(token: str, lineno: int) -> float:
-    try:
-        if not token.isascii() or "_" in token:
-            raise ValueError  # float() would also take `_` and other digits
-        value = float(token)
-    except ValueError:
-        raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
-    if not math.isfinite(value):
-        raise CircuitParseError(f"line {lineno}: angle must be finite")
-    return value
+    for block in range(0, len(cols), _WRITE_BLOCK):
+        rows = slice(block, block + _WRITE_BLOCK)
+        lines = []
+        for kind, control, target, angle in zip(
+            cols.kind[rows].tolist(), cols.control[rows].tolist(),
+            cols.target[rows].tolist(), cols.angle[rows].tolist(),
+        ):
+            if kind == CNOT_CODE:  # by far the most common line
+                lines.append(f"CNOT {control} {target}")
+            elif kind == F_CODE:
+                lines.append(f"F {control} {target} {angle:.17g}")
+            elif kind == ROT_CODE:
+                line = f"ROT {target} {angle:.17g}"
+                if plate_comments:
+                    line += f" # plate_angle_deg={math.degrees(angle / 2):.12g}"
+                lines.append(line)
+            else:
+                lines.append(f"CZ {control} {target}")
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse wcircuit v1 text into a Circuit.  Strict; raises CircuitParseError."""
-    # Rows are tokenized one at a time, so no token list outlives its line.
-    rows = (
-        (lineno, line.split())
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
+    # One byte per character, so a byte's offset is the character's index in text.
+    raw = (text if text.isascii() else text.translate(_WIDE_SEPARATORS)).encode(
+        "latin-1", "replace"
     )
-    first = next(rows, None)
-    if first is None:
+    if b"\r" in raw:  # a CR LF is one line break: its LF reads as a separator
+        raw = raw.replace(b"\r\n", b"\r ")
+    b = np.frombuffer(raw, np.uint8)
+    lineno, first, count, start, end = _rows(raw, b)
+
+    def words(row: int) -> list[str]:
+        span = slice(first[row], first[row] + count[row])
+        return [text[s:e] for s, e in zip(start[span].tolist(), end[span].tolist())]
+
+    if not lineno.size:
         raise CircuitParseError("empty document")
-    lineno, header = first
-    if header != [_HEADER, _VERSION]:
+    if words(0) != [_HEADER, _VERSION]:
         raise CircuitParseError(
-            f"line {lineno}: expected '{_HEADER} {_VERSION}' header"
+            f"line {lineno[0]}: expected '{_HEADER} {_VERSION}' header"
         )
-    second = next(rows, None)
-    if second is None or second[1][0] != "qubits":
+    if lineno.size < 2 or words(1)[0] != "qubits":
         raise CircuitParseError("missing 'qubits <n>' line")
-    lineno, qubits_row = second
-    if len(qubits_row) != 2:
-        raise CircuitParseError(f"line {lineno}: 'qubits' takes one field")
-    n = _parse_index(qubits_row[1], MAX_QUBITS, lineno, "qubit count")
+    if count[1] != 2:
+        raise CircuitParseError(f"line {lineno[1]}: 'qubits' takes one field")
+    field = first[1:2] + 1
+    value, bad = _digits(b, raw, start[field], end[field])
+    if bad[0]:
+        raise CircuitParseError(f"line {lineno[1]}: bad qubit count {words(1)[1]!r}")
+    if not 1 <= value[0] <= MAX_QUBITS:
+        raise CircuitParseError(
+            f"line {lineno[1]}: qubit count {int(words(1)[1])} outside [1, {MAX_QUBITS}]"
+        )
+    n = int(value[0])
     if n < 2:
-        raise CircuitParseError(f"line {lineno}: need at least 2 qubits")
+        raise CircuitParseError(f"line {lineno[1]}: need at least 2 qubits")
 
-    codes, controls, targets, angles = [], [], [], []
-    for lineno, tokens in rows:
-        kind = tokens[0]
-        if kind not in _ARITY:
-            raise CircuitParseError(f"line {lineno}: unknown keyword {kind!r}")
-        if len(tokens) - 1 != _ARITY[kind]:
-            raise CircuitParseError(
-                f"line {lineno}: {kind} takes {_ARITY[kind]} fields, "
-                f"got {len(tokens) - 1}"
-            )
-        if kind == "ROT":
-            control = 0
-            target = _parse_index(tokens[1], n, lineno)
-            angle = _parse_angle(tokens[2], lineno)
-        else:
-            control = _parse_index(tokens[1], n, lineno)
-            target = _parse_index(tokens[2], n, lineno)
-            angle = _parse_angle(tokens[3], lineno) if kind == "F" else 0.0
-            if control == target:
-                raise CircuitParseError(
-                    f"line {lineno}: control and target must differ"
-                )
-        codes.append(KIND_CODES[kind])
-        controls.append(control)
-        targets.append(target)
-        angles.append(angle)
+    # Gate rows: each one's keyword token and the number of fields after it.
+    key, got = first[2:], count[2:] - 1
+    kind = _kinds(b, start[key], end[key])
+    rot, f = kind == ROT_CODE, kind == F_CODE
+    fields = f + np.uint8(2)
+    # The control field, and the target field: a ROT's one qubit is its target.
+    wire = np.minimum(key + 1, start.size - 1)
+    control, bad1 = _digits(b, raw, start[wire], end[wire])
+    wire = np.minimum(key + 2 - rot, start.size - 1)
+    target, bad2 = _digits(b, raw, start[wire], end[wire])
+    # Angles: the last field of each F and ROT row with the right field count.
+    angled = np.flatnonzero((rot | f) & (got == fields))
+    field = key[angled] + fields[angled]
+    parsed = [
+        _angle(text[s:e]) for s, e in zip(start[field].tolist(), end[field].tolist())
+    ]
+    angle = np.zeros(key.size)
+    angle[angled] = np.array(parsed, dtype=np.float64)  # None reads as nan
+    bad_angle = np.zeros(key.size, bool)
+    bad_angle[angled] = [a is None for a in parsed]
 
-    try:
-        return Circuit(n, GateColumns(codes, controls, targets, angles))
+    # The grammar, in the order a line is read: the first row any rule marks
+    # is reported, with the first rule it breaks.
+    rules = (
+        (kind == len(GATE_KINDS), lambda r, tok: f"unknown keyword {tok[0]!r}"),
+        (got != fields, lambda r, tok: f"{tok[0]} takes {fields[r]} fields, got {got[r]}"),
+        (bad1, lambda r, tok: f"bad qubit index {tok[1]!r}"),
+        ((control < 1) | (control > n),
+         lambda r, tok: f"qubit index {int(tok[1])} outside [1, {n}]"),
+        (bad2, lambda r, tok: f"bad qubit index {tok[2]!r}"),
+        ((target < 1) | (target > n),
+         lambda r, tok: f"qubit index {int(tok[2])} outside [1, {n}]"),
+        (bad_angle, lambda r, tok: f"bad angle {tok[fields[r]]!r}"),
+        (~np.isfinite(angle), lambda r, tok: "angle must be finite"),
+        (~rot & (control == target), lambda r, tok: "control and target must differ"),
+    )
+    broken = [int(mask.argmax()) for mask, _ in rules if mask.any()]
+    if broken:
+        r = min(broken)
+        message = next(message for mask, message in rules if mask[r])
+        raise CircuitParseError(f"line {lineno[r + 2]}: {message(r, words(r + 2))}")
+
+    control[rot] = 0
+    try:  # every wire is at most n now, so its uint32 bits read as int32
+        return Circuit(n, GateColumns._adopt(
+            kind, control.view(np.int32), target.view(np.int32), angle
+        ))
     except ValueError as exc:  # the gate kinds fit no lowering level
         raise CircuitParseError(str(exc)) from None
+
+
+def _rows(raw: bytes, b):
+    """The number, first token and token count of each line of raw that holds
+    a token, and the start and end offset of every token."""
+    pos = np.int32 if b.size < 2**31 else np.int64
+    line_end = np.flatnonzero(np.frombuffer(raw.translate(_BREAK), bool))
+    line_end = np.append(line_end, b.size).astype(pos)
+    # Tokens: maximal runs of bytes that are neither a separator nor `#`.
+    edge = np.diff(np.frombuffer(b"\0" + raw.translate(_WORD) + b"\0", np.int8))
+    start = np.flatnonzero(edge == 1).astype(pos)
+    end = np.flatnonzero(edge == -1).astype(pos)
+    del edge
+    # A line's tokens run from the end of the line before to its own end, or
+    # to its first `#`, where its comment starts.
+    cut = np.searchsorted(start, line_end)
+    first = np.append(0, cut[:-1])
+    hashes = np.flatnonzero(b == 35)
+    line = np.searchsorted(line_end, hashes)
+    lead = np.diff(line, prepend=-1) != 0
+    cut[line[lead]] = np.searchsorted(start, hashes[lead])
+    rows = np.flatnonzero(cut - first)
+    count = (cut - first)[rows].astype(pos)
+    return (rows + 1).astype(pos), first[rows].astype(pos), count, start, end
+
+
+def _kinds(b, start, end):
+    """The code of the gate kind each token b[start:end] names, or
+    len(GATE_KINDS) if it names none."""
+    size = end - start
+    head = [np.take(b, start + j, mode="clip") for j in range(4)]
+    kind = np.full(size.shape, len(GATE_KINDS), np.uint8)
+    for code, keyword in enumerate(GATE_KINDS):
+        hit = size == len(keyword)
+        for byte, char in zip(head, keyword.encode()):
+            hit &= byte == char
+        kind[hit] = code
+    return kind
+
+
+def _digits(b, raw: bytes, start, end):
+    """Each token raw[start:end] read as a decimal of ASCII digits, capped at
+    _TOO_BIG, and the mask of the tokens that are not one."""
+    size = end - start
+    value = np.zeros(size.shape, np.uint32)
+    bad = np.zeros(size.shape, bool)
+    # The k-th byte from each token's end, for k from the longest token down.
+    for k in range(min(int(size.max(initial=0)), _UINT32_DIGITS), 0, -1):
+        digit = np.take(b, end - k, mode="clip") - np.uint8(48)
+        digit[size < k] = 0
+        bad |= digit > 9
+        value *= 10
+        value += digit
+    for i in np.flatnonzero(size > _UINT32_DIGITS).tolist():
+        token = raw[start[i]:end[i]]
+        bad[i] = not token.isdigit()  # bytes.isdigit takes ASCII digits only
+        try:
+            value[i] = min(int(token), _TOO_BIG)
+        except ValueError:  # more digits than int() converts
+            bad[i] = True
+    return value, bad
+
+
+def _angle(token: str) -> float | None:
+    """float(token), or None if token is no angle: float() would also take `_`
+    and other scripts' digits."""
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    return None
 
 
 def load_circuit(path) -> Circuit:

@@ -1,8 +1,9 @@
 """wcircuit v1 serialization: round-trips and strict parse errors."""
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wstates import (
     CNOT,
@@ -19,7 +20,7 @@ from wstates import (
     save_circuit,
     serialize_circuit,
 )
-from wstates.gates import ALLOWED_KINDS
+from wstates.gates import ALLOWED_KINDS, KIND_CODES, MAX_QUBITS, GateColumns
 
 
 def test_serialized_header_and_shape():
@@ -217,3 +218,238 @@ def test_signs_and_exponents_stay_legal_in_angles():
     assert circuit.n_qubits == 2
     assert circuit.gates == (ROT(1, 1e20), ROT(2, -0.0005), ROT(1, 2.0))
     assert "ROT 1 1e+20 " in serialize_circuit(circuit)
+
+
+def test_every_separator_and_line_break_is_taken():
+    text = "wcircuit 1\r\nqubits 3\rCNOT 1 2\x0bCNOT 2\xa03\n"
+    assert parse_circuit(text) == Circuit(3, (CNOT(1, 2), CNOT(2, 3)))
+
+
+@pytest.mark.parametrize("level", list(Level))
+def test_large_circuits_round_trip(level):
+    circuit = lower(build_w_circuit(1000), level)
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+def _peak_bytes(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peak_memory_is_bounded_by_the_text():
+    text = serialize_circuit(lower(build_w_circuit(300), Level.ELEMENTARY))
+    assert _peak_bytes(parse_circuit, text) <= 10 * len(text)
+
+
+def test_serialize_holds_one_block_of_line_strings():
+    # All 46,344 line strings at once would take about 10 times the text.
+    circuit = lower(build_w_circuit(300), Level.ELEMENTARY)
+    assert _peak_bytes(serialize_circuit, circuit) <= 3 * len(serialize_circuit(circuit))
+
+
+# --- the bulk parser against a per-line one ----------------------------------
+#
+# _reference_parse is the per-line parser the bulk one replaced, kept as the
+# specification of the language and of every error message.
+
+_REFERENCE_ARITY = {"F": 3, "CNOT": 2, "CZ": 2, "ROT": 2}
+
+
+def _reference_index(token, bound, lineno, what="qubit index"):
+    try:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError
+        value = int(token)
+    except ValueError:
+        raise CircuitParseError(f"line {lineno}: bad {what} {token!r}") from None
+    if not 1 <= value <= bound:
+        raise CircuitParseError(f"line {lineno}: {what} {value} outside [1, {bound}]")
+    return value
+
+
+def _reference_angle(token, lineno):
+    try:
+        if not token.isascii() or "_" in token:
+            raise ValueError
+        value = float(token)
+    except ValueError:
+        raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
+    if not math.isfinite(value):
+        raise CircuitParseError(f"line {lineno}: angle must be finite")
+    return value
+
+
+def _reference_parse(text):
+    rows = (
+        (lineno, line.split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    first = next(rows, None)
+    if first is None:
+        raise CircuitParseError("empty document")
+    lineno, header = first
+    if header != ["wcircuit", "1"]:
+        raise CircuitParseError(f"line {lineno}: expected 'wcircuit 1' header")
+    second = next(rows, None)
+    if second is None or second[1][0] != "qubits":
+        raise CircuitParseError("missing 'qubits <n>' line")
+    lineno, qubits_row = second
+    if len(qubits_row) != 2:
+        raise CircuitParseError(f"line {lineno}: 'qubits' takes one field")
+    n = _reference_index(qubits_row[1], MAX_QUBITS, lineno, "qubit count")
+    if n < 2:
+        raise CircuitParseError(f"line {lineno}: need at least 2 qubits")
+    codes, controls, targets, angles = [], [], [], []
+    for lineno, tokens in rows:
+        kind = tokens[0]
+        if kind not in _REFERENCE_ARITY:
+            raise CircuitParseError(f"line {lineno}: unknown keyword {kind!r}")
+        arity = _REFERENCE_ARITY[kind]
+        if len(tokens) - 1 != arity:
+            raise CircuitParseError(
+                f"line {lineno}: {kind} takes {arity} fields, got {len(tokens) - 1}"
+            )
+        if kind == "ROT":
+            control = 0
+            target = _reference_index(tokens[1], n, lineno)
+            angle = _reference_angle(tokens[2], lineno)
+        else:
+            control = _reference_index(tokens[1], n, lineno)
+            target = _reference_index(tokens[2], n, lineno)
+            angle = _reference_angle(tokens[3], lineno) if kind == "F" else 0.0
+            if control == target:
+                raise CircuitParseError(f"line {lineno}: control and target must differ")
+        codes.append(KIND_CODES[kind])
+        controls.append(control)
+        targets.append(target)
+        angles.append(angle)
+    try:
+        return Circuit(n, GateColumns(codes, controls, targets, angles))
+    except ValueError as exc:
+        raise CircuitParseError(str(exc)) from None
+
+
+def _outcome(parse, text):
+    """The circuit parse makes of text, to the bit, or its error message."""
+    try:
+        circuit = parse(text)
+    except CircuitParseError as exc:
+        return str(exc)
+    columns = [(c.dtype.str, c.tobytes()) for c in circuit.gates._columns()]
+    return circuit.n_qubits, circuit.level, columns
+
+
+# Every str.splitlines break, and every other str.split separator.
+_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029")
+_SPACES = (" ", "\t", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)),
+           "\u202f", "\u205f", "\u3000")
+_INDEX = st.sampled_from(["1", "2", "3", "01", "003"])
+_ANGLE = st.sampled_from(["0.5", "-1e-3", "+2.", "3", "1e+20", "-0.0", "nan", "1e999"])
+_TOKEN = st.sampled_from([
+    "wcircuit", "qubits", "F", "CNOT", "CZ", "ROT",  # keywords
+    "CNOTX", "cnot", "C", "CN", "RO", "FF", "ROTx", "F\x00",  # near-keywords
+    "0", "1", "2", "4", "02", "0003", "1" * 19, "0" * 20 + "2", "9" * 25,
+    "+" + "0" * 19 + "1", "1_" + "0" * 18,  # int() takes these, the grammar does not
+    "+1", "1_0", "\u0662", "\uff11", "\xb2", "2.5", "-1", "1e3", "\xe9", "?",
+    "0.5", "-.25E-3", "+2.", "inf", "-Infinity", "1_0.5", "\u0661.5",
+    "1#2", "#", "#x", "a#",
+])
+_GATE = st.one_of(
+    st.tuples(st.just("F"), _INDEX, _INDEX, _ANGLE),
+    st.tuples(st.sampled_from(["CNOT", "CZ"]), _INDEX, _INDEX),
+    st.tuples(st.just("ROT"), _INDEX, _ANGLE),
+).map(list)
+# A gate row with one token swapped for any other.
+_BENT_GATE = st.tuples(_GATE, st.integers(0, 3), _TOKEN).map(
+    lambda drawn: [drawn[2] if i == drawn[1] else t for i, t in enumerate(drawn[0])]
+)
+_HEADER_ROW = st.sampled_from(
+    [["wcircuit", "1"]] * 12 + [["wcircuit", "2"], ["wcircuit", "1", "x"], ["wcircuit"],
+                               ["qubits", "3"], []]
+)
+_QUBITS_ROW = st.sampled_from(
+    [["qubits", "3"]] * 12 + [["qubits", "003"], ["qubits", "1"], ["qubits", "0"],
+                             ["qubits", "x"], ["qubits"], ["qubits", "3", "3"],
+                             ["qubits", "9" * 20], ["qubits", "+3"], ["CNOT", "1", "2"], []]
+)
+_GAP = st.lists(st.sampled_from(_SPACES), min_size=1, max_size=2).map("".join)
+_COMMENT = st.sampled_from(["", "", "#", "# note", "#CNOT 1 2", "# a # b", "#\xa0x"])
+
+
+@st.composite
+def _line(draw, tokens):
+    gaps = draw(st.lists(_GAP, min_size=len(tokens), max_size=len(tokens)))
+    body = "".join(gap + token for gap, token in zip(gaps, tokens))
+    lead = draw(st.booleans())
+    return (body if lead else body.lstrip("".join(_SPACES))) + draw(_COMMENT)
+
+
+@st.composite
+def _line_soup(draw):
+    """A document of valid lines, or of valid lines mixed with every kind of
+    bad one, joined by any line break and separator."""
+    clean = draw(st.booleans())
+    rows = [["wcircuit", "1"], ["qubits", "3"]] if clean else [
+        draw(_HEADER_ROW), draw(_QUBITS_ROW)]
+    gates = _GATE if clean else st.one_of(_GATE, _BENT_GATE, st.lists(_TOKEN, max_size=5))
+    rows += draw(st.lists(gates, max_size=6))
+    lines = [draw(_line(row)) for row in rows]
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("".join(_BREAKS))
+
+
+def test_soup_alphabet_holds_every_separator_and_break():
+    chars = list(map(chr, range(0x110000)))
+    breaks = {c for c in chars if len(f"x{c}x".splitlines()) == 2}
+    assert breaks == set(_BREAKS) - {"\r\n"}
+    assert {c for c in chars if c.isspace()} == breaks | set(_SPACES)
+
+
+# The documents whose outcome the tests above pin, and the corner cases of the
+# byte-level pass: a CR before a wide line break, int()'s digit limit.
+_PINNED = [
+    "", "qubits 2\n", "wcircuit 2\nqubits 2\n", "wcircuit 1 extra\nqubits 2\n",
+    "wcircuit 1\n", "wcircuit 1\nqubits\n", "wcircuit 1\nqubits two\n",
+    "wcircuit 1\nqubits 1\n", "wcircuit 1\nqubits 2 2\n",
+    "wcircuit 1\nqubits 2\nHADAMARD 1\n", "wcircuit 1\nqubits 2\nF 1 2\n",
+    "wcircuit 1\nqubits 2\nCNOT 1 2 0.5\n", "wcircuit 1\nqubits 2\nCNOT 1\n",
+    "wcircuit 1\nqubits 2\nCNOT 0 1\n", "wcircuit 1\nqubits 2\nCNOT 1 3\n",
+    "wcircuit 1\nqubits 2\nCNOT 1 1\n", "wcircuit 1\nqubits 2\nROT 1 abc\n",
+    "wcircuit 1\nqubits 2\nROT 1 nan\n", "wcircuit 1\nqubits 2\nROT 1 inf\n",
+    "wcircuit 1\nqubits 2\nF 1 2 0.5\nROT 1 0.5\n", "wcircuit 1\nqubits 2\nF 1.5 2 0.5\n",
+    "wcircuit 1\nqubits 2\nF 1 2 0.5\nCZ 1 2\n",
+    f"wcircuit 1\nqubits {2**31 - 1}\nCNOT {2**31 - 1} 1\n",
+    f"wcircuit 1\nqubits {2**31}\nCNOT {2**31} 1\n",
+    *(f"wcircuit 1\nqubits 12\n{line}\n" for line in (
+        "CNOT 1_0 2", "CNOT +1 2", "CNOT 1 \u0662", "ROT \uff11 0.5", "F 1 2 1_0.5",
+        "ROT 1 \u0661.5", "CNOT +00000000000000000001 2", "CNOT 1_000000000000000000 2")),
+    *(f"wcircuit 1\nqubits {count}\n" for count in ("1_0", "+3", "\u0663")),
+    "wcircuit 1\nqubits 002\nROT 01 1e+20\nROT 2 -.5E-3\nROT 1 +2.\n",
+    "\n# preparation network\nwcircuit 1\n\nqubits 2   # two rails\n"
+    "F 1 2 0.5  # coupler\nCNOT 2 1\n",
+    "wcircuit 1\r\nqubits 3\rCNOT 1 2\x0bCNOT 2\xa03\n",
+    "wcircuit 1\r\u2028qubits 2\r\u2029CNOT 1 1\n",
+    "wcircuit 1\nqubits 2\nCNOT " + "1" * 4301 + " 2\n",
+    "wcircuit 1\nqubits 2\nCNOT " + "0" * 4299 + "1 2\n",
+]
+
+
+def _with_pinned_examples(test):
+    for text in _PINNED:
+        test = example(text)(test)
+    return test
+
+
+@_with_pinned_examples
+@settings(max_examples=300, deadline=None)
+@given(_line_soup())
+def test_bulk_parser_matches_the_per_line_parser(text):
+    assert _outcome(parse_circuit, text) == _outcome(_reference_parse, text)
