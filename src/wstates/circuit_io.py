@@ -11,12 +11,12 @@ Layout:
 
 Gate lines appear in application order with 1-based indices; angles are
 decimal radians printed with 17 significant digits so floats round-trip
-bit-exactly.  `#` starts a comment anywhere on a line; blank lines are
-ignored.  The writer emits UTF-8 with LF line endings and one space between
-fields.  The reader takes the line breaks of `str.splitlines` (LF, CR, CR LF,
-VT, FF, U+001C-U+001E, U+0085, U+2028, U+2029) and separates fields by runs
-of the other `str.split` whitespace as well (space, tab, U+001F, U+00A0,
-U+1680, U+2000-U+200A, U+202F, U+205F, U+3000).  The qubit count and every
+bit-exactly.  The writer emits UTF-8 with LF line endings and one space
+between fields.  The reader takes ASCII text whose lines end at LF (the CR
+of a CR LF is a separator), whose fields are separated by runs of spaces
+and tabs, and where `#` starts a comment; every other character is a token
+character.  load_circuit reads with universal newlines, so CR-only and
+CR LF files load too.  Blank lines are ignored.  The qubit count and every
 index are one or more ASCII digits: no sign, no `_`, no other script's
 digits.  An angle is a finite decimal float in ASCII with no `_`, sign and
 exponent allowed (`-0.5`, `1e+20`).  Parsing is strict: unknown keywords,
@@ -24,12 +24,13 @@ bad tokens, out-of-range indices, missing or extra fields, and gate kinds
 that fit no lowering level are hard errors.
 
 The parser reads the whole text in one pass of array operations, with no
-loop over lines.  It maps the text to one byte per character and finds each
-token's start and end, each line's first token and the start of its comment.
-It reads every keyword from its bytes and every index with a fixed-width
-digit gather; only angles go through float(), one token at a time.  Each
-grammar rule is a mask over the gate lines, and an error names the first
-line any mask marks and the first rule that line breaks.
+loop over lines.  It encodes the text as ASCII, one byte per character and
+`?` for any other, and finds each token's start and end, each line's first
+token and the start of its comment.  It reads every keyword from its bytes
+and every index with a fixed-width digit gather; only angles go through
+float(), one token at a time.  Each grammar rule is a mask over the gate
+lines, and an error names the first line any mask marks and the first rule
+that line breaks.
 
 The format carries no lowering level: a Circuit reads its level off its
 gate kinds (see gates.Circuit).
@@ -54,17 +55,9 @@ from .gates import (
 
 _HEADER = "wcircuit"
 _VERSION = "1"
-# Byte tables for bytes.translate: 1 where a Latin-1 byte may be part of a
-# token (neither a str.split separator nor `#`), and 1 where str.splitlines
-# breaks a line.
-_WORD = bytes(not (c.isspace() or c == "#") for c in map(chr, range(256)))
-_BREAK = bytes(len(f"x{c}x".splitlines()) == 2 for c in map(chr, range(256)))
-# The separators above U+00FF, as a Latin-1 one of the same class.  The line
-# breaks become VT, not LF, which a CR before them would pair with.
-_WIDE_SEPARATORS = str.maketrans(
-    {0x2028: "\v", 0x2029: "\v"}
-    | dict.fromkeys([0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000], " ")
-)
+# Byte table for bytes.translate: 1 where a byte may be part of a token,
+# that is, anything but a tab, an LF, a space or `#`.
+_WORD = bytes(c not in b"\t\n #" for c in range(256))
 _WRITE_BLOCK = 4096  # gate lines serialize_circuit formats before joining them
 _UINT32_DIGITS = 9  # a uint32 holds every decimal of this many digits
 _TOO_BIG = MAX_QUBITS + 1  # past every qubit count and index bound
@@ -106,11 +99,9 @@ def serialize_circuit(circuit: Circuit) -> str:
 def parse_circuit(text: str) -> Circuit:
     """Parse wcircuit v1 text into a Circuit.  Strict; raises CircuitParseError."""
     # One byte per character, so a byte's offset is the character's index in text.
-    raw = (text if text.isascii() else text.translate(_WIDE_SEPARATORS)).encode(
-        "latin-1", "replace"
-    )
-    if b"\r" in raw:  # a CR LF is one line break: its LF reads as a separator
-        raw = raw.replace(b"\r\n", b"\r ")
+    raw = text.encode("ascii", "replace")
+    if b"\r" in raw:  # the CR of a CR LF reads as a separator
+        raw = raw.replace(b"\r\n", b" \n")
     b = np.frombuffer(raw, np.uint8)
     lineno, first, count, start, end = _rows(raw, b)
 
@@ -154,7 +145,7 @@ def parse_circuit(text: str) -> Circuit:
     angled = np.flatnonzero((rot | f) & (got == fields))
     field = key[angled] + fields[angled]
     parsed = [
-        _angle(text[s:e]) for s, e in zip(start[field].tolist(), end[field].tolist())
+        _angle(raw[s:e]) for s, e in zip(start[field].tolist(), end[field].tolist())
     ]
     angle = np.zeros(key.size)
     angle[angled] = np.array(parsed, dtype=np.float64)  # None reads as nan
@@ -195,8 +186,7 @@ def _rows(raw: bytes, b):
     """The number, first token and token count of each line of raw that holds
     a token, and the start and end offset of every token."""
     pos = np.int32 if b.size < 2**31 else np.int64
-    line_end = np.flatnonzero(np.frombuffer(raw.translate(_BREAK), bool))
-    line_end = np.append(line_end, b.size).astype(pos)
+    line_end = np.append(np.flatnonzero(b == 10), b.size).astype(pos)
     # Tokens: maximal runs of bytes that are neither a separator nor `#`.
     edge = np.diff(np.frombuffer(b"\0" + raw.translate(_WORD) + b"\0", np.int8))
     start = np.flatnonzero(edge == 1).astype(pos)
@@ -252,10 +242,10 @@ def _digits(b, raw: bytes, start, end):
     return value, bad
 
 
-def _angle(token: str) -> float | None:
+def _angle(token: bytes) -> float | None:
     """float(token), or None if token is no angle: float() would also take `_`
-    and other scripts' digits."""
-    if token.isascii() and "_" not in token:
+    and a VT, FF or CR around the number."""
+    if b"_" not in token and token.strip() == token:
         try:
             return float(token)
         except ValueError:

@@ -228,15 +228,14 @@ def _frozen_column(convert, values, dtype, what: str) -> np.ndarray:
     """values as a read-only dtype array, by convert; refuses what a cast changes."""
     column = convert(values)
     integral = np.issubdtype(dtype, np.integer)
-    out_of_range = f"{what} out of range for {np.dtype(dtype)}"
     if column.size and column.dtype.kind not in ("biu" if integral else "biuf"):
         # numpy holds an integer past 64 bits as an object.
         if integral and all(isinstance(v, numbers.Integral) for v in column.flat):
-            raise ValueError(out_of_range)
+            raise ValueError(f"{what} out of range for {np.dtype(dtype)}")
         raise ValueError(f"{what} must be {'integers' if integral else 'real'}")
     cast = column.astype(dtype, copy=False)
     if integral and cast is not column and (cast != column).any():
-        raise ValueError(out_of_range)
+        raise ValueError(f"{what} out of range for {np.dtype(dtype)}")
     cast.setflags(write=False)
     return cast
 

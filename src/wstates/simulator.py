@@ -58,6 +58,7 @@ SPARSE_ENGINE_BYTES = 1 << 28  # holds 16384 rows of SPARSE_QUBIT_CAP qubits
 AUTO_DENSE_MAX = 20
 PRUNE_THRESHOLD = 1e-15
 _NORM_GUARD = 1e-9
+_BINARY = str.maketrans("HV", "01")  # encode_bits reads H as 0 and V as 1
 
 
 def bits_of(index: int, n: int) -> str:
@@ -67,15 +68,11 @@ def bits_of(index: int, n: int) -> str:
 
 def encode_bits(bits: str) -> int:
     """Basis index of an 'H'/'V' (or '0'/'1') string, mode 1 leftmost."""
-    index = 0
-    for ch in bits:
-        if ch in "H0":
-            index <<= 1
-        elif ch in "V1":
-            index = (index << 1) | 1
-        else:
-            raise ValueError(f"bad polarization character {ch!r}")
-    return index
+    digits = bits.translate(_BINARY)
+    bad = digits.lstrip("01")
+    if bad:
+        raise ValueError(f"bad polarization character {bad[0]!r}")
+    return int(digits, 2) if digits else 0
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -95,20 +92,20 @@ class QuantumState:
     def __post_init__(self):
         object.__setattr__(self, "n", _qubit_count(self.n))
         if isinstance(self.amplitudes, Mapping):
-            bound = 1 << self.n
             items = {}
             for k, v in self.amplitudes.items():
                 k = _qubit_count(k, "basis index")
                 if not isinstance(v, numbers.Real):
                     raise ValueError("amplitudes must be real")
-                if not 0 <= k < bound:
+                if k < 0 or k.bit_length() > self.n:
                     raise ValueError(f"basis index {k} does not fit {self.n} qubits")
                 if v != 0.0:
                     items[k] = float(v)
             object.__setattr__(self, "amplitudes", items)
         else:
             arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
-            if arr.shape != (1 << self.n,):
+            # No array holds 2**64 entries, so a larger n needs no n-bit length.
+            if arr.shape != (1 << min(self.n, 64),):
                 raise ValueError("dense amplitude array has wrong length")
             object.__setattr__(self, "amplitudes", arr)
         # Written so that a NaN norm fails the check too.

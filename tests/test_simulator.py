@@ -1,10 +1,11 @@
 """Dense and sparse backends: golden states, cross-checks, invariants."""
 import math
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wstates import (
     CNOT,
@@ -46,6 +47,35 @@ def test_basis_state_encoding(n, bits, index):
 
 def test_encode_bits_accepts_both_alphabets():
     assert encode_bits("VHH") == encode_bits("100") == 4
+
+
+def _reference_encode_bits(bits):
+    """encode_bits one character at a time: the specification of its values
+    and of the character its error names."""
+    index = 0
+    for ch in bits:
+        if ch in "H0":
+            index <<= 1
+        elif ch in "V1":
+            index = (index << 1) | 1
+        else:
+            raise ValueError(f"bad polarization character {ch!r}")
+    return index
+
+
+def _encode_outcome(encode, bits):
+    try:
+        return encode(bits)
+    except ValueError as exc:
+        return str(exc)
+
+
+@example("")
+@example("V" + "H0" * 2200 + "x")  # past int()'s digit limit for bases other than 2
+@example("V" + "H0" * 2200)
+@given(st.text(st.sampled_from("HV01HV01HV01 2_x\n\u00e9-+")))
+def test_encode_bits_matches_a_per_character_reference(bits):
+    assert _encode_outcome(encode_bits, bits) == _encode_outcome(_reference_encode_bits, bits)
 
 
 @pytest.mark.parametrize("bits", ["VH", "VHHH", "VXH", "12H"])
@@ -429,6 +459,30 @@ def test_run_rejects_unknown_backend():
 def test_quantum_state_rejects_wrong_dense_length():
     with pytest.raises(ValueError, match=r"^dense amplitude array has wrong length$"):
         QuantumState(2, [1.0, 0.0, 0.0])
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantum_state_bounds_its_size_without_building_two_to_the_n():
+    # 1 << 2**40 alone would take 128 GiB.
+    n = 2**40
+    assert _peak_bytes(lambda: QuantumState(n, {0: 1.0})) < 2**20
+    assert QuantumState(n, {1 << 100: 1.0}).support_size() == 1
+    with pytest.raises(ValueError, match=rf"^basis index {1 << 64} does not fit 64 qubits$"):
+        QuantumState(64, {1 << 64: 1.0})
+
+    def wrong_length():
+        with pytest.raises(ValueError, match=r"^dense amplitude array has wrong length$"):
+            QuantumState(n, np.zeros(4))
+
+    assert _peak_bytes(wrong_length) < 2**20
 
 
 def test_quantum_state_backend_follows_its_storage():
