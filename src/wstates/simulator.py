@@ -26,11 +26,11 @@ angle).  The dense engine swaps the control=1 quarter's target halves, and
 mixes, in scratch it owns, so no gate allocates.  The sparse engine keeps
 each key as 64-bit words beside an amplitude vector (crossing its boundary
 in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
-control, a CZ is one masked sign flip, and mix pairs rows by one stable sort.
-A mix appends every missing partner; _compact, which ends each mix, is the
-only place that drops rows, those below PRUNE_THRESHOLD (numerically-zero
-residue with this circuit family).  Its support is not known in advance, so
-it raises CapacityError before an allocation would pass SPARSE_ENGINE_BYTES.
+control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
+and adds s of its partner, paired by one stable sort (a W coupler's one row
+has none), and appends each missing partner as s of its row.  Only _compact,
+which ends each mix, drops rows (below PRUNE_THRESHOLD); with no support bound
+known, _grow raises CapacityError before passing SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -81,16 +81,29 @@ class QuantumState:
 
     The storage names the backend: a mapping {basis index: amplitude} is
     sparse, and anything else is dense, read as a float64 array of length
-    2**n.  Instances are immutable snapshots: dense arrays are adopted and
-    marked read-only, sparse mappings are copied into a dict with zero
-    entries dropped.
+    2**n.  Instances are immutable snapshots: dense input is copied into a
+    read-only array, as GateColumns copies its columns, and sparse mappings
+    are copied into a dict with zero entries dropped.
     """
 
     n: int
     amplitudes: dict | np.ndarray
 
-    def __post_init__(self):
+    @classmethod
+    def _adopt(cls, n: int, amplitudes) -> QuantumState:
+        """A state over arrays made inside this package and held nowhere else:
+        taken over without a copy, marked read-only and checked as by the
+        constructor.  Spares a dense run or basis state a second 2**n array."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__(np.asarray)
+        return self
+
+    def __post_init__(self, convert=np.array):
         object.__setattr__(self, "n", _qubit_count(self.n))
+        if self.n < 0:
+            raise ValueError(f"qubit count {self.n} is negative")
         if isinstance(self.amplitudes, Mapping):
             items = {}
             for k, v in self.amplitudes.items():
@@ -103,7 +116,7 @@ class QuantumState:
                     items[k] = float(v)
             object.__setattr__(self, "amplitudes", items)
         else:
-            arr = _frozen_column(np.ascontiguousarray, self.amplitudes, np.float64, "amplitudes")
+            arr = _frozen_column(convert, self.amplitudes, np.float64, "amplitudes")
             # No array holds 2**64 entries, so a larger n needs no n-bit length.
             if arr.shape != (1 << min(self.n, 64),):
                 raise ValueError("dense amplitude array has wrong length")
@@ -152,7 +165,7 @@ class QuantumState:
         vec = np.zeros(1 << self.n)
         for k, v in self.amplitudes.items():
             vec[k] = v
-        return QuantumState(self.n, vec)
+        return QuantumState._adopt(self.n, vec)
 
     def to_sparse(self) -> "QuantumState":
         if self.backend == "sparse":
@@ -324,26 +337,17 @@ class _SparseEngine:
             return
         c, s = math.cos(alpha), math.sin(alpha)
         word, bit = self._bit(target)
-        # Sector = all untouched bits; each sector holds at most two rows
-        # (target bit 0 and 1), mixed by R(alpha).  A row without a partner
-        # mixes with 0.0, and the partner is appended in source-row order;
-        # _compact then drops the rows below PRUNE_THRESHOLD.
-        if rows.size <= 2:
-            # The F sectors of the W network: scalars beat a dozen tiny arrays.
-            rows = rows.tolist()
-            keys = [self.keys[:, r].tolist() for r in rows]
-            ones = [k[word] & bit != 0 for k in keys]
-            amps = [self.amps.item(r) for r in rows]
-            keys[0][word] ^= bit
-            paired = len(rows) == 2 and keys[0] == keys[1]
-            src, vals = [], []
-            for r, one, a, p in zip(rows, ones, amps, amps[::-1] if paired else (0.0, 0.0)):
-                a0, a1 = (p, a) if one else (a, p)
-                b0, b1 = c * a0 + s * a1, s * a0 - c * a1
-                self.amps[r] = b1 if one else b0
-                if not paired:
-                    src.append(r)
-                    vals.append(b0 if one else b1)
+        # R(alpha) = [[c, s], [s, -c]]: a row whose target bit is b keeps
+        # (-1)**b * c of itself and gains s of its partner, the row whose key
+        # differs in that bit alone.  A missing partner is appended, in
+        # source-row order, with s of the row; _compact then drops the rows
+        # below PRUNE_THRESHOLD.
+        if rows.size == 1:
+            # Every coupler of the W network: scalars beat a dozen tiny arrays.
+            r = rows.item()
+            a = self.amps.item(r)
+            self.amps[r] = (-c if self.keys.item(word, r) & bit else c) * a
+            src, vals = rows, s * a
         else:
             sub = self.keys[:, rows]
             ones = (sub[word] & bit) != 0
@@ -357,10 +361,8 @@ class _SparseEngine:
             partner[lo], partner[hi] = amps[hi], amps[lo]
             lone = np.ones(rows.size, dtype=bool)
             lone[lo] = lone[hi] = False
-            a0, a1 = np.where(ones, partner, amps), np.where(ones, amps, partner)
-            b0, b1 = c * a0 + s * a1, s * a0 - c * a1
-            self.amps[rows] = np.where(ones, b1, b0)
-            src, vals = rows[lone], np.where(ones, b0, b1)[lone]
+            self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
+            src, vals = rows[lone], s * amps[lone]
         end = m + len(src)
         self._grow(end)
         self.keys[:, m:end] = self.keys[:, src]
@@ -442,7 +444,7 @@ def _execute(state: QuantumState, ops, check_norm: bool) -> QuantumState:
             if abs(norm_sq - 1.0) > 1e-10:
                 gate = _gate_of(kind, control, target, angle)
                 raise RuntimeError(f"norm drifted to {norm_sq!r} after {gate}")
-    return QuantumState(state.n, engine.amplitudes())
+    return QuantumState._adopt(state.n, engine.amplitudes())
 
 
 def run(

@@ -8,6 +8,7 @@ a dict engine on Python int keys, bit for bit and in entry order, on sizes
 that straddle 64-bit word boundaries.
 """
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wstates import (
     Circuit,
     F,
     Level,
+    QuantumState,
     ROT,
     basis_state,
     build_w_circuit,
@@ -27,7 +29,7 @@ from wstates import (
     run,
     unitary_of,
 )
-from wstates.simulator import PRUNE_THRESHOLD
+from wstates.simulator import PRUNE_THRESHOLD, _SparseEngine
 
 
 ANGLES = st.floats(-math.pi, math.pi)
@@ -237,8 +239,8 @@ def test_w_network_matches_the_oracle(n, level):
 # Mixes whose lone partner falls below PRUNE_THRESHOLD, from |VH...H>: a row
 # mixed by R(alpha) splits off sin(alpha) * a, exactly 0.0 at alpha = 0 and
 # about 1.2e-16 * a at alpha = pi, while R(pi/2) leaves the row itself at
-# about 6e-17 * a.  Selections of up to two rows take mix's scalar path,
-# larger ones its vector path; the last two cases cross 64-bit word boundaries.
+# about 6e-17 * a.  A one-row selection takes mix's scalar path, larger ones
+# its vector path; the last two cases cross 64-bit word boundaries.
 _RAMP = (ROT(1, 0.7), ROT(2, 0.3))  # four rows from any basis input
 SUB_THRESHOLD_MIXES = [
     (3, Level.ELEMENTARY, (ROT(2, math.pi / 2),)),
@@ -273,3 +275,103 @@ def test_lowering_random_composite_circuits_keeps_the_unitary(drawn):
     for target in (t for t in (Level.CZ_LEVEL, Level.ELEMENTARY) if t <= composite.level):
         lowered = lower(composite, target)
         assert float(np.abs(unitary_of(lowered) - reference).max()) < 1e-12
+
+
+# --- the own/partner mix against the mix it replaced -------------------------
+#
+# _reference_mix is _SparseEngine.mix as it was before it took the own/partner
+# form: each row moved into an (a0, a1) pair, R(alpha) stated once for one or
+# two rows and once for more.  It is kept as the specification of the bits.
+
+def _reference_mix(self, control, target, alpha):
+    m = self.m
+    rows = np.arange(m) if control is None else np.flatnonzero(self._has(control))
+    if rows.size == 0:
+        return
+    c, s = math.cos(alpha), math.sin(alpha)
+    word, bit = self._bit(target)
+    if rows.size <= 2:
+        rows = rows.tolist()
+        keys = [self.keys[:, r].tolist() for r in rows]
+        ones = [k[word] & bit != 0 for k in keys]
+        amps = [self.amps.item(r) for r in rows]
+        keys[0][word] ^= bit
+        paired = len(rows) == 2 and keys[0] == keys[1]
+        src, vals = [], []
+        for r, one, a, p in zip(rows, ones, amps, amps[::-1] if paired else (0.0, 0.0)):
+            a0, a1 = (p, a) if one else (a, p)
+            b0, b1 = c * a0 + s * a1, s * a0 - c * a1
+            self.amps[r] = b1 if one else b0
+            if not paired:
+                src.append(r)
+                vals.append(b0 if one else b1)
+    else:
+        sub = self.keys[:, rows]
+        ones = (sub[word] & bit) != 0
+        sub[word] &= ~np.uint64(bit)
+        order = np.lexsort(sub[::-1])
+        ranked = sub[:, order]
+        pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+        lo, hi = order[:-1][pair], order[1:][pair]
+        amps = self.amps[rows]
+        partner = np.zeros(rows.size)
+        partner[lo], partner[hi] = amps[hi], amps[lo]
+        lone = np.ones(rows.size, dtype=bool)
+        lone[lo] = lone[hi] = False
+        a0, a1 = np.where(ones, partner, amps), np.where(ones, amps, partner)
+        b0, b1 = c * a0 + s * a1, s * a0 - c * a1
+        self.amps[rows] = np.where(ones, b1, b0)
+        src, vals = rows[lone], np.where(ones, b0, b1)[lone]
+    end = m + len(src)
+    self._grow(end)
+    self.keys[:, m:end] = self.keys[:, src]
+    self.keys[word, m:end] ^= np.uint64(bit)
+    self.amps[m:end] = vals
+    self.m = end
+    self._compact()
+
+
+def _sparse_input(n):
+    """1-5 basis entries, normalized: any key, or V's on edge wires, so that
+    some entries pair under a mix."""
+    keys = st.one_of(
+        st.integers(0, (1 << n) - 1),
+        st.sets(_edge_wire(n), max_size=3).map(lambda ws: sum(1 << (n - w) for w in ws)),
+    )
+    values = st.one_of(st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+
+    def normalized(amps):
+        norm = math.sqrt(math.fsum(v * v for v in amps.values()))
+        return {k: v / norm for k, v in amps.items()}
+
+    return st.dictionaries(keys, values, min_size=1, max_size=5).map(normalized)
+
+
+def _bits_of(state):
+    return [(k, v.hex()) for k, v in state.amplitudes.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Level)).flatmap(lambda level: _circuits(
+    level, st.one_of(st.integers(2, 6), st.sampled_from((63, 64, 65, 66, 130))),
+    _edge_wire, _sparse_input)))
+# A one-row F; a two-row ROT whose rows pair, and one whose rows do not;
+# alpha = 0, where the appended partner is +-0.0 and must be pruned, on one
+# row and on two; alpha = pi, whose partner s * a is below PRUNE_THRESHOLD;
+# and rows that cross 64-bit word boundaries.
+@example((3, (F(1, 2, 0.7),), {0b100: 1.0}))
+@example((2, (ROT(1, 0.7),), {0b00: 0.6, 0b10: 0.8}))
+@example((2, (ROT(1, 0.7),), {0b00: 0.6, 0b11: 0.8}))
+@example((3, (F(1, 2, 0.0),), {0b100: 1.0}))
+@example((2, (ROT(1, 0.0),), {0b00: 0.6, 0b11: -0.8}))
+@example((3, (F(1, 2, math.pi),), {0b100: 1.0}))
+@example((3, (ROT(2, math.pi),), {0b100: 0.6, 0b001: -0.8}))
+@example((65, (ROT(64, 0.7), ROT(65, math.pi)), {1 << 64: 0.6, 0b11: 0.8}))
+@example((130, (F(1, 64, 0.7), F(64, 65, 0.3), F(1, 130, math.pi)), {1 << 129: 1.0}))
+def test_mix_matches_the_reference_mix(drawn):
+    n, gates, amplitudes = drawn
+    circuit, state = Circuit(n, gates), QuantumState(n, amplitudes)
+    out = run(circuit, state)
+    with patch.object(_SparseEngine, "mix", _reference_mix):
+        expected = run(circuit, state)
+    assert _bits_of(out) == _bits_of(expected)

@@ -298,12 +298,12 @@ def test_dense_capacity_enforced():
 def test_dense_run_peak_is_the_state_and_its_scratch():
     import tracemalloc
 
-    # The engine's copy of the state, two quarter-size float buffers and one
-    # quarter-size bool mask, plus 0.5 MiB for the op plan and the views.
+    # The engine's copy of the state and two quarter-size float buffers, plus
+    # 0.5 MiB for the op plan and the views; the result adopts the engine's copy.
     n = 20
     circuit = build_w_circuit(n)
     state = _input(n, "dense")
-    bound = 8 * 2**n + 2 * 8 * 2 ** (n - 2) + 2 ** (n - 2) + 2**19
+    bound = 8 * 2**n + 2 * 8 * 2 ** (n - 2) + 2**19
     tracemalloc.start()
     try:
         run(circuit, state)
@@ -483,6 +483,35 @@ def test_quantum_state_bounds_its_size_without_building_two_to_the_n():
             QuantumState(n, np.zeros(4))
 
     assert _peak_bytes(wrong_length) < 2**20
+
+
+def test_quantum_state_copies_a_callers_dense_array():
+    a = np.zeros(8)
+    a[4] = 1.0
+    state = QuantumState(3, a)
+    assert a.flags.writeable
+    a[0] = 0.5
+    b = np.zeros(8)
+    b[4] = 1.0
+    from_view = QuantumState(3, b[:])
+    b[4], b[0] = 0.0, 5.0
+    for s in (state, from_view):
+        assert s.norm_squared() == 1.0 and s.amplitude(0) == 0.0 and s.amplitude(4) == 1.0
+        assert not s.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.amplitudes[0] = 1.0
+
+
+def test_dense_basis_state_holds_one_array():
+    # to_dense hands its array to the state: a copy would peak at 16 MiB.
+    peak = _peak_bytes(lambda: basis_state(20, "V" + "H" * 19, backend="dense"))
+    assert peak <= 8 * 2**20 + 2**16, f"{peak / 2**20:.3f} MiB"
+
+
+@pytest.mark.parametrize("amplitudes", [{}, {0: 1.0}, [1.0]], ids=["empty", "sparse", "dense"])
+def test_quantum_state_refuses_a_negative_qubit_count(amplitudes):
+    with pytest.raises(ValueError, match=r"^qubit count -1 is negative$"):
+        QuantumState(-1, amplitudes)
 
 
 def test_quantum_state_backend_follows_its_storage():
