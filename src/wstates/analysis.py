@@ -12,6 +12,7 @@ the plate shift.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .gates import Circuit, _qubit_count, _require_rows
@@ -98,20 +99,17 @@ def _table_size(n_max: int) -> int:
     return n_max
 
 
-def plate_angle_table(n_max: int) -> list[tuple[int, float]]:
-    """First-plate angle arccos(1/sqrt(n))/4 in degrees for n = 3..n_max."""
-    n_max = _table_size(n_max)
-    return [(n, math.degrees(_coupler_alpha(n, 1) / 4.0)) for n in range(3, n_max + 1)]
+def plate_angle_table(n_max: int) -> Iterator[tuple[int, float]]:
+    """(n, first-plate angle arccos(1/sqrt(n))/4 in degrees) for n = 3..n_max."""
+    n_max = _table_size(n_max)  # when called, not at the first row
+    return ((n, math.degrees(_coupler_alpha(n, 1) / 4.0)) for n in range(3, n_max + 1))
 
 
-def gate_growth_table(n_max: int) -> list[tuple[int, int, int, int]]:
-    """(n, total, f_count, cnot_count) rows for n = 3..n_max."""
-    n_max = _table_size(n_max)
-    rows = []
-    for n in range(3, n_max + 1):
-        pred = predicted_counts(n)
-        rows.append((n, pred.total_two_qubit, pred.f_gates, pred.cnot_gates))
-    return rows
+def gate_growth_table(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, total, f_count, cnot_count) for n = 3..n_max."""
+    n_max = _table_size(n_max)  # when called, not at the first row
+    return ((n, c.total_two_qubit, c.f_gates, c.cnot_gates)
+            for n in range(3, n_max + 1) for c in (predicted_counts(n),))
 
 
 def angle_sensitivity(

@@ -8,9 +8,10 @@ digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import sys
+from itertools import islice
 
 from .analysis import (
     DEFAULT_DELTAS,
@@ -23,7 +24,7 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .circuit_io import load_circuit, serialize_circuit
+from .circuit_io import _WRITE_BLOCK, load_circuit, serialize_circuit
 from .errors import CapacityError, CircuitParseError
 from .gates import Level, _require_rows
 from .lowering import lower
@@ -49,23 +50,30 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _emit(chunks, out: str | None) -> None:
+    """Write every verb's output: the text chunks, to the file out or to stdout."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(chunks)
+
+
+def _csv(header: str, lines):
+    """CSV text in chunks: the header line, then the lines _WRITE_BLOCK at a time."""
+    yield header + "\n"
+    lines = iter(lines)
+    while block := list(islice(lines, _WRITE_BLOCK)):
+        yield "\n".join(block) + "\n"
 
 
 def _cmd_synth(args) -> int:
     _require_rows(predicted_counts(args.n).total_two_qubit, f"the {args.n}-qubit circuit")
-    _emit(serialize_circuit(build_w_circuit(args.n)), args.out)
+    _emit((serialize_circuit(build_w_circuit(args.n)),), args.out)
     return 0
 
 
 def _cmd_lower(args) -> int:
     circuit = load_circuit(args.circuit)
-    _emit(serialize_circuit(lower(circuit, _LOWER_TARGETS[args.to])), args.out)
+    _emit((serialize_circuit(lower(circuit, _LOWER_TARGETS[args.to])),), args.out)
     return 0
 
 
@@ -74,7 +82,7 @@ def _cmd_simulate(args) -> int:
     # The input is checked before run resolves the backend and its cap, so
     # a malformed input exits 2 even on a circuit no backend can run.
     state = basis_state(circuit.n_qubits, args.input, backend="sparse")
-    sys.stdout.write(dump_state(run(circuit, state, backend=args.backend)))
+    _emit((dump_state(run(circuit, state, backend=args.backend)),), None)
     return 0
 
 
@@ -83,7 +91,7 @@ def _cmd_verify(args) -> int:
     backend = resolve_backend(n, args.backend)
     out = run(WNetwork(n), basis_state(n, "V" + "H" * (n - 1), backend=backend))
     fid = fidelity(out, w_reference(n))
-    print(f"n={n} fidelity={fid:.12f}")
+    _emit((f"n={n} fidelity={fid:.12f}\n",), None)
     return 0 if fid >= FIDELITY_PASS else 2
 
 
@@ -110,28 +118,23 @@ def _cmd_analyze(args) -> int:
         "elementary_cnots": report.elementary_cnots,
         "gate_success_prob": _round12(report.gate_success_prob),
         "log10_success_probability": _round12(report.log10_success_probability),
-        "success_probability": (
-            None
-            if report.success_probability is None
-            else _round12(report.success_probability)
-        ),
+        "success_probability": (None if report.success_probability is None
+                                else _round12(report.success_probability)),
         "pdc": pdc,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit((json.dumps(payload, indent=2) + "\n",), args.out)
     return 0
 
 
 def _cmd_angles(args) -> int:
-    lines = ["n,plate_angle_degrees"]
-    lines += [f"{n},{_fmt(deg)}" for n, deg in plate_angle_table(args.max)]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = (f"{n},{_fmt(deg)}" for n, deg in plate_angle_table(args.max))
+    _emit(_csv("n,plate_angle_degrees", lines), args.out)
     return 0
 
 
 def _cmd_growth(args) -> int:
-    lines = ["n,total,f_count,cnot_count"]
-    lines += [f"{n},{t},{f},{c}" for n, t, f, c in gate_growth_table(args.max)]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = (f"{n},{t},{f},{c}" for n, t, f, c in gate_growth_table(args.max))
+    _emit(_csv("n,total,f_count,cnot_count", lines), args.out)
     return 0
 
 
@@ -140,12 +143,9 @@ def _cmd_sweep(args) -> int:
     if not deltas:
         raise ValueError("no perturbations given")
     records = angle_sensitivity(args.n, args.position, deltas, backend=args.backend)
-    lines = ["n,perturbed_gate_position,delta_plate_angle,fidelity"]
-    lines += [
-        f"{r.n},{r.perturbed_gate_position},{_fmt(r.delta_plate_angle)},{_fmt(r.fidelity)}"
-        for r in records
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = (f"{r.n},{r.perturbed_gate_position},{_fmt(r.delta_plate_angle)},{_fmt(r.fidelity)}"
+             for r in records)
+    _emit(_csv("n,perturbed_gate_position,delta_plate_angle,fidelity", lines), args.out)
     return 0
 
 

@@ -50,8 +50,9 @@ UNITARY_QUBIT_CAP = 10
 MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 # Most rows a verb writes: the gates `synth` emits (n = 2047 at most) or the
 # lines of an `angles` or `growth` table.  At the cap, on 2 Xeon vCPUs with
-# Python 3.11 and numpy 2.4, `synth` takes 2.1 s and 440 MB, `angles` 4.1 s
-# and 480 MB, `growth` 6.8 s and 670 MB; past it they exit 3 before building.
+# Python 3.11 and numpy 2.4, a `synth` process takes 1.3-1.7 s and peaks at
+# 114 MB resident, `angles` 3.9-4.1 s and 29 MB, `growth` 7.4-7.8 s and 29 MB
+# (the tables stream); past it they exit 3 before building.
 ROW_CAP = 1 << 21
 
 

@@ -136,9 +136,13 @@ class QuantumState:
         )
 
     def amplitude(self, index: int) -> float:
+        """The amplitude of basis state index; ValueError unless 0 <= index < 2**n."""
+        k = _qubit_count(index, "basis index")
+        if k < 0 or k.bit_length() > self.n:
+            raise ValueError(f"basis index {k} does not fit {self.n} qubits")
         if self.backend == "dense":
-            return float(self.amplitudes[index])
-        return self.amplitudes.get(index, 0.0)
+            return float(self.amplitudes[k])
+        return self.amplitudes.get(k, 0.0)
 
     def items(self):
         """Nonzero (basis index, amplitude) pairs."""

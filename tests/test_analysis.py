@@ -18,6 +18,8 @@ from wstates import (
     resource_report,
     w_reference,
 )
+from wstates.errors import CapacityError
+from wstates.gates import ROW_CAP
 from wstates.synthesis import N_MAX
 
 TABLE_ROWS = [(3, 4, 2, 2), (4, 8, 3, 5), (5, 13, 4, 9), (6, 19, 5, 14), (7, 26, 6, 20)]
@@ -140,7 +142,7 @@ def test_plate_angle_table_validation():
 
 
 def test_gate_growth_table_matches_reference_rows():
-    assert gate_growth_table(7) == TABLE_ROWS
+    assert list(gate_growth_table(7)) == TABLE_ROWS
     rows = dict((r[0], r[1:]) for r in gate_growth_table(10))
     assert rows[10] == (53, 9, 44)
 
@@ -150,8 +152,17 @@ def test_gate_growth_table_rejects_small_n_max():
         gate_growth_table(2)
 
 
+@pytest.mark.parametrize("table", [plate_angle_table, gate_growth_table])
+def test_tables_are_iterators_checked_when_called(table):
+    rows = table(ROW_CAP + 2)  # 2**21 rows, none made until asked for
+    assert iter(rows) is rows
+    assert next(rows)[0] == 3 and next(rows)[0] == 4
+    with pytest.raises(CapacityError):
+        table(ROW_CAP + 3)
+
+
 def test_gate_growth_is_quadratic():
-    total_1000 = gate_growth_table(1000)[-1][1]
+    total_1000 = list(gate_growth_table(1000))[-1][1]
     assert total_1000 / 1000**2 == pytest.approx(0.500498)
 
 
@@ -251,8 +262,8 @@ SIZED = {
     "pdc_rates": lambda n: pdc_rates(n, PdcModel(0.5)),
     "angle_sensitivity": lambda n: angle_sensitivity(n, 1, (0.0,)),
     "resource_report": resource_report,
-    "plate_angle_table": plate_angle_table,
-    "gate_growth_table": gate_growth_table,
+    "plate_angle_table": lambda n: list(plate_angle_table(n)),
+    "gate_growth_table": lambda n: list(gate_growth_table(n)),
     "w_reference": w_reference,
 }
 

@@ -475,6 +475,38 @@ def test_verify_memory_stays_linear(capsys):
     assert peak <= 4e6
 
 
+@pytest.mark.parametrize("verb", ["angles", "growth"])
+def test_tables_stream_to_the_file(tmp_path, capsys, verb):
+    # Held whole as rows, lines and one joined string, these tables take tens
+    # of MB at --max 300000; written a block of lines at a time, one block.
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        code = main([verb, "--max", "300000", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == ""
+    assert peak <= 4e6
+    code, out, _ = cli(capsys, verb, "--max", "300000")
+    assert code == 0 and out.count("\n") == 1 + (300000 - 2)  # header, n = 3..300000
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("angles", "--max", "2"), 2),
+        (("growth", "--max", str(ROW_CAP + 3)), 3),
+        (("sweep", "--n", "8", "--deltas", ""), 2),
+    ],
+)
+def test_refused_verbs_leave_no_file(tmp_path, capsys, argv, code):
+    path = tmp_path / "f"
+    assert cli(capsys, *argv, "--out", str(path))[:2] == (code, "")
+    assert not path.exists()
+
+
 def test_sweep_rejects_small_n(capsys):
     code, _, err = cli(capsys, "sweep", "--n", "1")
     assert code == 2

@@ -45,6 +45,20 @@ def test_basis_state_encoding(n, bits, index):
         assert state.support_size() == 1
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_amplitude_takes_only_a_basis_index_of_the_state(backend):
+    state = basis_state(3, "HHV", backend=backend)
+    assert state.amplitude(1) == state.amplitude(np.int64(1)) == 1.0
+    assert state.amplitude(0) == state.amplitude(7) == 0.0
+    # numpy would wrap -7 to entry 1 of the dense array; a dict would miss it.
+    for index in (-7, -1, 8):
+        with pytest.raises(ValueError, match=rf"^basis index {index} does not fit 3 qubits$"):
+            state.amplitude(index)
+    for index in (1.0, "x"):
+        with pytest.raises(ValueError, match=r"^basis index .* is not an integer$"):
+            state.amplitude(index)
+
+
 def test_encode_bits_accepts_both_alphabets():
     assert encode_bits("VHH") == encode_bits("100") == 4
 
