@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from .gates import Circuit, _qubit_count, _require_rows
 from .lowering import lower
 from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
-from .synthesis import (CountPrediction, WNetwork, _coupler_alpha, _require_size,
-                        build_w_circuit, predicted_counts)
+from .synthesis import (CountPrediction, WNetwork, _counts, _coupler_alpha,
+                        _require_size, build_w_circuit, predicted_counts)
 
 # Circuit, lower and build_w_circuit are unused here: wbench/tracer.py wraps
 # them by name in this module, so they stay importable from it.
@@ -108,8 +108,7 @@ def plate_angle_table(n_max: int) -> Iterator[tuple[int, float]]:
 def gate_growth_table(n_max: int) -> Iterator[tuple[int, int, int, int]]:
     """(n, total, f_count, cnot_count) for n = 3..n_max."""
     n_max = _table_size(n_max)  # when called, not at the first row
-    return ((n, c.total_two_qubit, c.f_gates, c.cnot_gates)
-            for n in range(3, n_max + 1) for c in (predicted_counts(n),))
+    return ((n, *_counts(n)) for n in range(3, n_max + 1))
 
 
 def angle_sensitivity(

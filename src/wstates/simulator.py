@@ -22,8 +22,10 @@ fan-in layers becomes a CNOT ladder, any other run its CNOTs in order.
 _execute's loop is the only op loop and the only dispatch on gate kind; with
 check_norm it checks the norm after each gate.  An engine applies one gate:
 cnot(control, target), cz(control, target) or mix(control or None, target,
-angle).  The dense engine swaps the control=1 quarter's target halves, and
-mixes, in scratch it owns, so no gate allocates.  The sparse engine keeps
+angle).  The dense engine keeps the state flat and reads the two halves a
+CNOT or mix pairs as np.void blocks of the free run below the gate's lowest
+qubit; it swaps or mixes them _CHUNK amplitudes at a time in four buffers it
+owns, so no gate allocates more than a chunk.  The sparse engine keeps
 each key as 64-bit words beside an amplitude vector (crossing its boundary
 in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
 control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
@@ -58,6 +60,7 @@ SPARSE_ENGINE_BYTES = 1 << 28  # holds 16384 rows of SPARSE_QUBIT_CAP qubits
 AUTO_DENSE_MAX = 20
 PRUNE_THRESHOLD = 1e-15
 _NORM_GUARD = 1e-9
+_CHUNK = 1 << 14  # amplitudes of each half a dense gate holds in its buffers at once
 _BINARY = str.maketrans("HV", "01")  # encode_bits reads H as 0 and V as 1
 
 
@@ -216,57 +219,94 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 # --- engines: cnot, cz, mix, live, amplitudes -----------------------------
 
-def _ix(t: np.ndarray, *held: tuple[int, int]) -> tuple:
-    """Index into t where each (qubit, bit) is held, at length 1, so no view is 0-d."""
-    idx = [slice(None)] * t.ndim
-    for qubit, bit in held:
-        idx[qubit - 1] = slice(bit, bit + 1)
-    return tuple(idx)
-
-
 class _DenseEngine:
-    """Run-private copy of a dense amplitude array, viewed as n axes."""
+    """Run-private flat copy of a dense amplitude array, and four float
+    buffers of up to _CHUNK amplitudes each, in which CNOTs and mixes work."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
-        self.t = amplitudes.reshape((2,) * n).copy()
-        self.scratch = np.empty(0)
+        self.n = n
+        self.flat = amplitudes.copy()
+        self.buffers = np.empty((4, min(_CHUNK, (1 << n) // 2)))
 
-    def _scratch(self, shape: tuple) -> np.ndarray:
-        # Kept at the largest size a gate has needed, so a gate allocates nothing.
-        size = math.prod(shape)
-        if self.scratch.size < size:
-            self.scratch = np.empty(size)
-        return self.scratch[:size].reshape(shape)
+    def _shape(self, qubits: list[int], block: int) -> list[int]:
+        """Axes that split the state at the ascending qubits: the free run
+        above each qubit, a 2 for the qubit, then the run below the last in
+        blocks of block amplitudes."""
+        shape, top = [], 1
+        for q in qubits:
+            shape += [1 << (q - top), 2]
+            top = q + 1
+        return shape + [(1 << (self.n - top + 1)) // block]
+
+    def _pairs(self, control: int | None, target: int, kernel) -> None:
+        """Pass the two halves a gate pairs, target bit 0 and 1 with the
+        control bit 1, through kernel(a, b, sa, sb) a chunk at a time, or
+        swap them if kernel is None.
+
+        The halves are views of the state as np.void blocks, each at most
+        _CHUNK amplitudes of the free run below the gate's lowest qubit, so
+        a copy walks long rows of blocks and never short rows of floats.  A
+        chunk of at most _CHUNK amplitudes of each half is copied into the
+        buffers a and b, kernel works on them in place with the buffers sa
+        and sb, and a and b are copied back.  A swap copies one half's chunk
+        through a buffer and the other's straight across."""
+        held = {} if control is None else {control: 1}
+        qubits = sorted([*held, target])
+        block = min(1 << (self.n - qubits[-1]), _CHUNK)
+        void = np.dtype((np.void, 8 * block))
+        view = self.flat.view(void).reshape(self._shape(qubits, block))
+        half_a, half_b = (
+            view[tuple(i for q in qubits for i in (slice(None), held.get(q, bit)))]
+            for bit in (0, 1)
+        )
+        # Cut the halves' axes into leading ones, one chunk per index, and
+        # trailing ones of at most _CHUNK // block blocks in all.
+        dims, room = list(half_a.shape), _CHUNK // block
+        lead = len(dims)
+        while lead and dims[lead - 1] <= room:
+            lead -= 1
+            room //= dims[lead]
+        if lead:
+            dims[lead - 1 : lead] = [dims[lead - 1] // room, room]
+        half_a, half_b = half_a.reshape(dims), half_b.reshape(dims)
+        chunk = dims[lead:]
+        floats = tuple(self.buffers[:, : math.prod(chunk) * block])
+        a, b = (f.view(void).reshape(chunk) for f in floats[:2])
+        for i in np.ndindex(*dims[:lead]):
+            np.copyto(a, half_a[i])
+            if kernel is None:
+                np.copyto(half_a[i], half_b[i])
+                np.copyto(half_b[i], a)
+                continue
+            np.copyto(b, half_b[i])
+            kernel(*floats)
+            np.copyto(half_a[i], a)
+            np.copyto(half_b[i], b)
 
     def cnot(self, control: int, target: int) -> None:
-        a, b = (self.t[_ix(self.t, (control, 1), (target, bit))] for bit in (0, 1))
-        # Through buffers: a copy between two views of one array would make
-        # numpy allocate an overlap temporary.
-        tmp_a, tmp_b = self._scratch((2, *a.shape))
-        np.copyto(tmp_a, a)
-        np.copyto(tmp_b, b)
-        np.copyto(a, tmp_b)
-        np.copyto(b, tmp_a)
+        self._pairs(control, target, None)
 
     def cz(self, control: int, target: int) -> None:
-        self.t[_ix(self.t, (control, 1), (target, 1))] *= -1.0
+        qubits = sorted((control, target))
+        self.flat.reshape(self._shape(qubits, 1))[:, 1, :, 1] *= -1.0
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
-        held = () if control is None else ((control, 1),)
-        a, b = (self.t[_ix(self.t, *held, (target, bit))] for bit in (0, 1))
         c, s = math.cos(alpha), math.sin(alpha)
-        # a, b = c * a + s * b, s * a - c * b: every operand is a buffer or
-        # the output itself, so numpy needs no temporary.
-        sa, sb = self._scratch((2, *a.shape))
-        np.multiply(a, s, out=sa)
-        np.multiply(a, c, out=a)
-        np.multiply(b, s, out=sb)
-        np.add(a, sb, out=a)
-        np.multiply(b, c, out=b)
-        np.subtract(sa, b, out=b)
+
+        def rotate(a, b, sa, sb):
+            # a, b = c * a + s * b, s * a - c * b: every operand is a buffer
+            # or the output itself, so numpy needs no temporary.
+            np.multiply(a, s, out=sa)
+            np.multiply(a, c, out=a)
+            np.multiply(b, s, out=sb)
+            np.add(a, sb, out=a)
+            np.multiply(b, c, out=b)
+            np.subtract(sa, b, out=b)
+
+        self._pairs(control, target, rotate)
 
     def live(self) -> np.ndarray:
-        return self.t.reshape(-1)
+        return self.flat
 
     amplitudes = live
 

@@ -93,10 +93,13 @@ def angle_schedule(n: int) -> AngleSchedule:
     return AngleSchedule(n, tuple(entries))
 
 
+def _counts(n: int) -> tuple[int, int, int]:
+    """(total two-qubit, F, CNOT) gate counts of the network on n >= 3 qubits."""
+    return (n * (n + 1) - 4) // 2, n - 1, (n - 2) * (n + 1) // 2
+
+
 def predicted_counts(n: int) -> CountPrediction:
-    n = _require_size(n)
-    total = (n * (n + 1) - 4) // 2
-    return CountPrediction(total, n - 1, (n - 2) * (n + 1) // 2)
+    return CountPrediction(*_counts(_require_size(n)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,6 +29,7 @@ from wstates import (
     run,
     unitary_of,
 )
+from wstates import simulator
 from wstates.simulator import PRUNE_THRESHOLD, _SparseEngine
 
 
@@ -375,3 +376,109 @@ def test_mix_matches_the_reference_mix(drawn):
     with patch.object(_SparseEngine, "mix", _reference_mix):
         expected = run(circuit, state)
     assert _bits_of(out) == _bits_of(expected)
+
+
+# --- the chunked dense engine against the engine it replaced -----------------
+#
+# _ReferenceDenseEngine is _DenseEngine as it was before it worked in chunks:
+# the state viewed as n axes of 2, each gate over whole half- or quarter-state
+# views, in scratch as large as a view.  It is kept as the specification of
+# the bits.
+
+def _ix(t, *held):
+    """Index into t where each (qubit, bit) is held, at length 1, so no view is 0-d."""
+    idx = [slice(None)] * t.ndim
+    for qubit, bit in held:
+        idx[qubit - 1] = slice(bit, bit + 1)
+    return tuple(idx)
+
+
+class _ReferenceDenseEngine:
+    def __init__(self, n, amplitudes):
+        self.t = amplitudes.reshape((2,) * n).copy()
+        self.scratch = np.empty(0)
+
+    def _scratch(self, shape):
+        size = math.prod(shape)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        return self.scratch[:size].reshape(shape)
+
+    def cnot(self, control, target):
+        a, b = (self.t[_ix(self.t, (control, 1), (target, bit))] for bit in (0, 1))
+        tmp_a, tmp_b = self._scratch((2, *a.shape))
+        np.copyto(tmp_a, a)
+        np.copyto(tmp_b, b)
+        np.copyto(a, tmp_b)
+        np.copyto(b, tmp_a)
+
+    def cz(self, control, target):
+        self.t[_ix(self.t, (control, 1), (target, 1))] *= -1.0
+
+    def mix(self, control, target, alpha):
+        held = () if control is None else ((control, 1),)
+        a, b = (self.t[_ix(self.t, *held, (target, bit))] for bit in (0, 1))
+        c, s = math.cos(alpha), math.sin(alpha)
+        sa, sb = self._scratch((2, *a.shape))
+        np.multiply(a, s, out=sa)
+        np.multiply(a, c, out=a)
+        np.multiply(b, s, out=sb)
+        np.add(a, sb, out=a)
+        np.multiply(b, c, out=b)
+        np.subtract(sa, b, out=b)
+
+    def amplitudes(self):
+        return self.t.reshape(-1)
+
+
+def _dense_gates(n):
+    """1-6 gates of every kind, control above, below or beside the target."""
+    wires = _any_wire(n)
+    rot = st.builds(ROT, wires, ANGLES)
+    if n == 1:
+        return st.lists(rot, min_size=1, max_size=6)
+    pairs = _wire_pair(wires)
+    return st.lists(st.one_of(
+        rot,
+        st.builds(lambda p, a: F(p[0], p[1], a), pairs, ANGLES),
+        pairs.map(lambda p: CNOT(*p)),
+        pairs.map(lambda p: CZ(*p)),
+    ), min_size=1, max_size=6)
+
+
+def _apply(engine, gates):
+    for g in gates:
+        if g.kind == "CNOT":
+            engine.cnot(g.control, g.target)
+        elif g.kind == "CZ":
+            engine.cz(g.control, g.target)
+        else:
+            engine.mix(g.control, g.target, g.angle)
+    return engine.amplitudes().tobytes()
+
+
+# Sizes up to 18 at the real _CHUNK; up to 10 at chunks of 1, 2 and 8
+# amplitudes, where halves span many chunks and blocks are cut at the chunk.
+_CHUNK_SIZES = st.one_of(
+    st.tuples(st.integers(1, 18), st.just(simulator._CHUNK)),
+    st.tuples(st.integers(1, 10), st.sampled_from((1, 2, 8))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_CHUNK_SIZES.flatmap(lambda nc: st.tuples(
+    st.just(nc), _dense_gates(nc[0]), st.integers(0, 2**32 - 1))))
+# At n=18 and _CHUNK = 2**14: free runs below the lowest qubit longer than a
+# chunk (qubits 1-3), equal to one (4) and shorter (5-18); halves of 8 chunks
+# (ROT) and of 4 (the rest); control above, below and beside the target.
+@example(((18, simulator._CHUNK), (ROT(1, 0.7), ROT(4, 0.3), ROT(18, -1.1)), 1))
+@example(((18, simulator._CHUNK), (F(1, 2, 0.7), F(17, 3, 0.3), F(18, 17, -1.1)), 2))
+@example(((18, simulator._CHUNK), (CNOT(2, 1), CNOT(9, 16), CNOT(17, 18), CZ(18, 1)), 3))
+@example(((2, simulator._CHUNK), (F(2, 1, 0.7), CNOT(1, 2), CZ(2, 1)), 4))
+@example(((1, 1), (ROT(1, 0.7),), 5))
+def test_dense_engine_matches_the_reference_engine(drawn):
+    (n, chunk), gates, seed = drawn
+    amplitudes = np.random.default_rng(seed).standard_normal(1 << n)
+    expected = _apply(_ReferenceDenseEngine(n, amplitudes), gates)
+    with patch.object(simulator, "_CHUNK", chunk):
+        assert _apply(simulator._DenseEngine(n, amplitudes), gates) == expected

@@ -25,7 +25,7 @@ from wstates import (
     unitary_of,
     w_reference,
 )
-from wstates.simulator import resolve_backend
+from wstates.simulator import _CHUNK, resolve_backend
 
 
 BACKENDS = ("dense", "sparse")
@@ -312,12 +312,12 @@ def test_dense_capacity_enforced():
 def test_dense_run_peak_is_the_state_and_its_scratch():
     import tracemalloc
 
-    # The engine's copy of the state and two quarter-size float buffers, plus
-    # 0.5 MiB for the op plan and the views; the result adopts the engine's copy.
+    # The engine's copy of the state and its four chunk buffers, plus 0.5 MiB
+    # for the op plan and the views; the result adopts the engine's copy.
     n = 20
     circuit = build_w_circuit(n)
     state = _input(n, "dense")
-    bound = 8 * 2**n + 2 * 8 * 2 ** (n - 2) + 2**19
+    bound = 8 * 2**n + 4 * 8 * _CHUNK + 2**19
     tracemalloc.start()
     try:
         run(circuit, state)
