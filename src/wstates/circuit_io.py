@@ -32,6 +32,17 @@ float(), one token at a time.  Each grammar rule is a mask over the gate
 lines, and an error names the first line any mask marks and the first rule
 that line breaks.
 
+The writer has no loop over gates either.  It lays out each block of
+_WRITE_BLOCK gates as one uint8 matrix, one row per line, NUL wherever the
+line has no character: the keyword and its space, from a table by kind
+code; control and target, right-aligned in fields of len(str(n)) digits and
+each followed by a space, where a leading zero is NUL, and so are a ROT's
+control and the space after it and the space after a target with no angle;
+the angle text, formatted once for each distinct angle in the block; the
+LF.  The text holds no NUL, so the block's bytes are the matrix's nonzero
+bytes in order.  Each block is decoded before the next is laid out, and the
+text is joined once.
+
 The format carries no lowering level: a Circuit reads its level off its
 gate kinds (see gates.Circuit).
 """
@@ -43,7 +54,6 @@ import numpy as np
 
 from .errors import CircuitParseError
 from .gates import (
-    CNOT_CODE,
     F_CODE,
     GATE_KINDS,
     MAX_QUBITS,
@@ -58,7 +68,10 @@ _VERSION = "1"
 # Byte table for bytes.translate: 1 where a byte may be part of a token,
 # that is, anything but a tab, an LF, a space or `#`.
 _WORD = bytes(c not in b"\t\n #" for c in range(256))
-_WRITE_BLOCK = 4096  # gate lines serialize_circuit formats before joining them
+_WRITE_BLOCK = 4096  # gate lines serialize_circuit lays out at a time
+# Each gate kind's keyword and its space, NUL-padded to one width, by kind code.
+_KEYWORDS = np.array([k.encode() + b" " for k in GATE_KINDS]).view(np.uint8).reshape(
+    len(GATE_KINDS), -1)
 _UINT32_DIGITS = 9  # a uint32 holds every decimal of this many digits
 _TOO_BIG = MAX_QUBITS + 1  # past every qubit count and index bound
 
@@ -68,31 +81,47 @@ def serialize_circuit(circuit: Circuit) -> str:
 
     ELEMENTARY circuits annotate each ROT line with the physical
     half-wave-plate angle alpha/2, the knob an experimenter actually sets.
-    Lines are joined a block at a time, so the line strings of one block at
-    most are alive at once.
+    Each block of _WRITE_BLOCK gates is laid out as one byte matrix and
+    decoded before the next, so one block's bytes at most are alive beside
+    the text.
     """
+    n = circuit.n_qubits
+    d = len(str(n))
+    # A circuit's level fixes its one angled kind: F at COMPOSITE, ROT below.
     plate_comments = circuit.level == Level.ELEMENTARY
-    blocks = [f"{_HEADER} {_VERSION}\nqubits {circuit.n_qubits}\n"]
+    blocks = [f"{_HEADER} {_VERSION}\nqubits {n}\n"]
     cols = circuit.gates
     for block in range(0, len(cols), _WRITE_BLOCK):
         rows = slice(block, block + _WRITE_BLOCK)
-        lines = []
-        for kind, control, target, angle in zip(
-            cols.kind[rows].tolist(), cols.control[rows].tolist(),
-            cols.target[rows].tolist(), cols.angle[rows].tolist(),
-        ):
-            if kind == CNOT_CODE:  # by far the most common line
-                lines.append(f"CNOT {control} {target}")
-            elif kind == F_CODE:
-                lines.append(f"F {control} {target} {angle:.17g}")
-            elif kind == ROT_CODE:
-                line = f"ROT {target} {angle:.17g}"
-                if plate_comments:
-                    line += f" # plate_angle_deg={math.degrees(angle / 2):.12g}"
-                lines.append(line)
-            else:
-                lines.append(f"CZ {control} {target}")
-        blocks.append("\n".join(lines) + "\n")
+        kind, control = cols.kind[rows], cols.control[rows]
+        angled = np.flatnonzero((kind == F_CODE) | (kind == ROT_CODE))
+        # Each distinct angle, by its bits so that -0.0 is not 0.0, is
+        # formatted once.
+        bits, which = np.unique(cols.angle[rows][angled].view(np.uint64),
+                                return_inverse=True)
+        suffix = np.array([
+            f"{a:.17g} # plate_angle_deg={math.degrees(a / 2):.12g}"
+            if plate_comments else f"{a:.17g}"
+            for a in bits.view(np.float64).tolist()
+        ] or [""], dtype=bytes)
+        # One NUL-padded line per row: keyword, control and target fields,
+        # angle, LF.
+        head, tail = _KEYWORDS.shape[1], suffix.itemsize
+        line = np.zeros((kind.size, head + 2 * (d + 1) + tail + 1), np.uint8)
+        line[:, :head] = np.take(_KEYWORDS, kind, axis=0)
+        fields = line[:, head : -tail - 1].reshape(-1, 2, d + 1)
+        wire = np.stack((control, cols.target[rows]), axis=1).view(np.uint32)
+        for digit in range(d - 1, -1, -1):  # a leading zero, and a 0, is NUL
+            tens = wire // 10
+            ones = wire - tens * 10
+            ones += 48
+            np.multiply(ones, wire != 0, out=fields[:, :, digit], casting="unsafe")
+            wire = tens
+        fields[:, 0, d] = (control != 0) * 32  # a ROT's control is 0
+        fields[angled, 1, d] = 32
+        line[angled, -tail - 1 : -1] = suffix.view(np.uint8).reshape(-1, tail)[which]
+        line[:, -1] = 10
+        blocks.append(line[line != 0].tobytes().decode("ascii"))
     return "".join(blocks)
 
 

@@ -48,11 +48,14 @@ ANGLED_KINDS = frozenset({"F", "ROT"})
 
 UNITARY_QUBIT_CAP = 10
 MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
-# Most rows a verb writes: the gates `synth` emits (n = 2047 at most) or the
-# lines of an `angles` or `growth` table.  At the cap, on 2 Xeon vCPUs with
-# Python 3.11 and numpy 2.4, a `synth` process takes 1.3-1.7 s and peaks at
-# 114 MB resident, `angles` 3.9-4.1 s and 29 MB, `growth` 7.4-7.8 s and 29 MB
-# (the tables stream); past it they exit 3 before building.
+# Most rows `synth`, `angles` and `growth` write: the gates `synth` emits
+# (n = 2047 at most) or the lines of a table; past it they exit 3 before
+# building.  `lower` has no cap of its own: lowering the n = 2047 circuit to
+# elementary writes 2,104,310 rows.  At the cap, on 2 Xeon vCPUs with
+# Python 3.11 and numpy 2.4, a `synth` process takes 0.35-0.45 s and peaks at
+# 104 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
+# `angles` 2.5-3.0 s and 29 MB, `growth` 2.6-2.7 s and 29 MB (the tables
+# stream).
 ROW_CAP = 1 << 21
 
 

@@ -31,8 +31,10 @@ in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
 control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
 and adds s of its partner, paired by one stable sort (a W coupler's one row
 has none), and appends each missing partner as s of its row.  Only _compact,
-which ends each mix, drops rows (below PRUNE_THRESHOLD); with no support bound
-known, _grow raises CapacityError before passing SPARSE_ENGINE_BYTES.
+which ends each mix, drops rows (below PRUNE_THRESHOLD); a one-row mix skips it
+when the support is pruned and neither value it wrote is below.  With no
+support bound known, _grow raises CapacityError before passing
+SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -321,6 +323,7 @@ class _SparseEngine:
         self.w = -(-n // 64)
         self.offset = 64 * self.w - n - 1
         self.m = 0
+        self.pruned = False  # every live amplitude known to be >= PRUNE_THRESHOLD
         self.keys = np.zeros((self.w, 0), dtype=np.uint64)
         self.amps = np.zeros(0)
         self._grow(len(items))
@@ -350,6 +353,7 @@ class _SparseEngine:
     def _compact(self) -> None:
         m = self.m
         live = np.abs(self.amps[:m]) >= PRUNE_THRESHOLD
+        self.pruned = True
         if live.all():
             return
         k = int(live.sum())
@@ -387,26 +391,34 @@ class _SparseEngine:
         # source-row order, with s of the row; _compact then drops the rows
         # below PRUNE_THRESHOLD.
         if rows.size == 1:
-            # Every coupler of the W network: scalars beat a dozen tiny arrays.
+            # Every coupler of the W network: scalars beat a dozen tiny arrays,
+            # and on a pruned support only the two values written can need
+            # _compact.
             r = rows.item()
             a = self.amps.item(r)
-            self.amps[r] = (-c if self.keys.item(word, r) & bit else c) * a
-            src, vals = rows, s * a
-        else:
-            sub = self.keys[:, rows]
-            ones = (sub[word] & bit) != 0
-            sub[word] &= ~np.uint64(bit)
-            order = np.lexsort(sub[::-1])
-            ranked = sub[:, order]
-            pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
-            lo, hi = order[:-1][pair], order[1:][pair]
-            amps = self.amps[rows]
-            partner = np.zeros(rows.size)
-            partner[lo], partner[hi] = amps[hi], amps[lo]
-            lone = np.ones(rows.size, dtype=bool)
-            lone[lo] = lone[hi] = False
-            self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
-            src, vals = rows[lone], s * amps[lone]
+            kept, added = (-c if self.keys.item(word, r) & bit else c) * a, s * a
+            self._grow(m + 1)
+            self.keys[:, m] = self.keys[:, r]
+            self.keys[word, m] ^= np.uint64(bit)
+            self.amps[r], self.amps[m] = kept, added
+            self.m = m + 1
+            if not (self.pruned and min(abs(kept), abs(added)) >= PRUNE_THRESHOLD):
+                self._compact()
+            return
+        sub = self.keys[:, rows]
+        ones = (sub[word] & bit) != 0
+        sub[word] &= ~np.uint64(bit)
+        order = np.lexsort(sub[::-1])
+        ranked = sub[:, order]
+        pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+        lo, hi = order[:-1][pair], order[1:][pair]
+        amps = self.amps[rows]
+        partner = np.zeros(rows.size)
+        partner[lo], partner[hi] = amps[hi], amps[lo]
+        lone = np.ones(rows.size, dtype=bool)
+        lone[lo] = lone[hi] = False
+        self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
+        src, vals = rows[lone], s * amps[lone]
         end = m + len(src)
         self._grow(end)
         self.keys[:, m:end] = self.keys[:, src]

@@ -1,6 +1,7 @@
 """wcircuit v1 serialization: round-trips and strict parse errors."""
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,16 @@ from wstates import (
     save_circuit,
     serialize_circuit,
 )
-from wstates.gates import ALLOWED_KINDS, KIND_CODES, MAX_QUBITS, GateColumns
+from wstates import circuit_io
+from wstates.gates import (
+    ALLOWED_KINDS,
+    CNOT_CODE,
+    F_CODE,
+    KIND_CODES,
+    MAX_QUBITS,
+    ROT_CODE,
+    GateColumns,
+)
 
 
 def test_serialized_header_and_shape():
@@ -141,16 +151,26 @@ def test_every_circuit_that_builds_reads_back():
     assert serialize_circuit(back) == text
 
 
-def _gates_of(kinds, n):
-    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
-    angles = st.floats(allow_nan=False, allow_infinity=False)
+# Qubit counts and wires on each side of a change in digit count, and angles
+# whose text is extreme: signed zeros, the least subnormal, huge, tiny, pi.
+_DIGIT_EDGES = (2, 9, 10, 99, 100, 999, 1000, 3000)
+_ODD_ANGLES = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e-5, 1e16, math.pi, -math.pi)
+
+
+def _gates_of(kinds, n, max_size=8):
+    edges = [1, *(w for w in _DIGIT_EDGES if w <= n)]
+    wires = st.one_of(st.integers(1, n), st.sampled_from(edges))
+    pairs = st.tuples(wires, wires).filter(lambda p: p[0] != p[1])
+    angles = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_ODD_ANGLES)
+    )
     make = {
         "F": st.builds(lambda p, a: F(*p, a), pairs, angles),
         "CNOT": pairs.map(lambda p: CNOT(*p)),
         "CZ": pairs.map(lambda p: CZ(*p)),
-        "ROT": st.builds(ROT, st.integers(1, n), angles),
+        "ROT": st.builds(ROT, wires, angles),
     }
-    return st.lists(st.one_of(*(make[k] for k in sorted(kinds))), max_size=8)
+    return st.lists(st.one_of(*(make[k] for k in sorted(kinds))), max_size=max_size)
 
 
 # Any mix of kinds that fits a level: a draw of the kinds one level allows.
@@ -282,6 +302,68 @@ def test_serialize_holds_one_block_of_line_strings():
     # All 46,344 line strings at once would take about 10 times the text.
     circuit = lower(build_w_circuit(300), Level.ELEMENTARY)
     assert _peak_bytes(serialize_circuit, circuit) <= 3 * len(serialize_circuit(circuit))
+
+
+# --- the laid-out writer against the f-string one ----------------------------
+#
+# _reference_serialize is serialize_circuit as it was before it laid out each
+# block of lines as bytes: one f-string per gate.  It is kept as the
+# specification of the bytes.
+
+def _reference_serialize(circuit):
+    plate_comments = circuit.level == Level.ELEMENTARY
+    blocks = [f"wcircuit 1\nqubits {circuit.n_qubits}\n"]
+    cols = circuit.gates
+    for block in range(0, len(cols), circuit_io._WRITE_BLOCK):
+        rows = slice(block, block + circuit_io._WRITE_BLOCK)
+        lines = []
+        for kind, control, target, angle in zip(
+            cols.kind[rows].tolist(), cols.control[rows].tolist(),
+            cols.target[rows].tolist(), cols.angle[rows].tolist(),
+        ):
+            if kind == CNOT_CODE:  # by far the most common line
+                lines.append(f"CNOT {control} {target}")
+            elif kind == F_CODE:
+                lines.append(f"F {control} {target} {angle:.17g}")
+            elif kind == ROT_CODE:
+                line = f"ROT {target} {angle:.17g}"
+                if plate_comments:
+                    line += f" # plate_angle_deg={math.degrees(angle / 2):.12g}"
+                lines.append(line)
+            else:
+                lines.append(f"CZ {control} {target}")
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
+
+
+# Any level's kinds, at any width of wire field, written a block of 1, 7 or
+# _WRITE_BLOCK lines at a time.
+_laid_out = st.tuples(
+    st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(2, 3000)), st.sampled_from(Level)
+).flatmap(lambda drawn: st.tuples(
+    st.just(drawn[0]),
+    _gates_of(ALLOWED_KINDS[drawn[1]], drawn[0], max_size=24),
+    st.sampled_from((1, 7, circuit_io._WRITE_BLOCK)),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laid_out)
+# No gates; blocks of 7 where the second holds no F; each odd angle twice in
+# one block, at each level.
+@example((2, [], 7))
+@example((10, [F(9, 10, 0.5)] + [CNOT(10, 9)] * 7 + [F(1, 10, 0.5)], 7))
+@example((3000, [F(3000, 999, a) for a in _ODD_ANGLES * 2] + [CNOT(1, 3000)], 4096))
+@example((1000, [ROT(w, a) for w, a in zip((1, 9, 10, 99, 100, 999, 1000) * 3,
+                                            _ODD_ANGLES * 2)] + [CZ(100, 99)], 4096))
+@example((100, [ROT(100, a) for a in _ODD_ANGLES * 2] + [CNOT(9, 10)], 4096))
+def test_writer_matches_the_f_string_writer(drawn):
+    n, gates, block = drawn
+    circuit = Circuit(n, tuple(gates))
+    with patch.object(circuit_io, "_WRITE_BLOCK", block):
+        text = serialize_circuit(circuit)
+        assert text == _reference_serialize(circuit)
+    assert parse_circuit(text) == circuit
 
 
 # --- the bulk parser against a per-line one ----------------------------------

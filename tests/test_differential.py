@@ -359,8 +359,14 @@ def _bits_of(state):
 # A one-row F; a two-row ROT whose rows pair, and one whose rows do not;
 # alpha = 0, where the appended partner is +-0.0 and must be pruned, on one
 # row and on two; alpha = pi, whose partner s * a is below PRUNE_THRESHOLD;
-# and rows that cross 64-bit word boundaries.
+# and rows that cross 64-bit word boundaries.  An input row below
+# PRUNE_THRESHOLD goes at the first mix, a one-row mix included, and stays
+# through a run with no mix; a one-row F(pi/2) on a pruned support leaves
+# c * a, about 6e-17, which must go.
 @example((3, (F(1, 2, 0.7),), {0b100: 1.0}))
+@example((3, (F(1, 3, 0.7),), {0b100: 1.0, 0b010: 1e-16}))
+@example((3, (CNOT(1, 2),), {0b100: 1.0, 0b010: 1e-16}))
+@example((3, (F(1, 2, 0.7), F(2, 3, math.pi / 2)), {0b100: 1.0}))
 @example((2, (ROT(1, 0.7),), {0b00: 0.6, 0b10: 0.8}))
 @example((2, (ROT(1, 0.7),), {0b00: 0.6, 0b11: 0.8}))
 @example((3, (F(1, 2, 0.0),), {0b100: 1.0}))
