@@ -1,13 +1,20 @@
 """Resource estimation, feasibility modeling, and angle-sensitivity studies.
 
 Resource reports are arithmetic on the closed-form gate counts of
-synthesis.predicted_counts: no circuit is built, so they answer at any n in
+base.predicted_counts: no circuit is built, so they answer at any n in
 constant time and memory.  Success probabilities are computed and reported
 in the log10 domain: (1/9)**5048 underflows any float format, so linear
 values are attached only when they are at least 1e-300.  Sensitivity
 perturbations are specified in physical plate-angle degrees (the
 experimenter's knob) and converted internally to a mixing-angle shift of 4x
 the plate shift.
+
+Reports and tables are plain Python over the closed forms of base, so they
+run without loading numpy.  The simulator and synthesis names that
+angle_sensitivity uses are bound as globals of this module on first use
+(base._binder): angle_sensitivity calls _load() first, and a read of one of
+them from outside the module, such as a wrapper being installed, binds them
+too and keeps whatever wrapper is set.
 """
 from __future__ import annotations
 
@@ -15,14 +22,18 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .gates import Circuit, _qubit_count, _require_rows
-from .lowering import lower
-from .simulator import basis_state, fidelity, resolve_backend, run, w_reference
-from .synthesis import (CountPrediction, WNetwork, _counts, _coupler_alpha,
-                        _require_size, build_w_circuit, predicted_counts)
+from .base import (CountPrediction, _binder, _counts, _coupler_alpha, _qubit_count,
+                   _require_rows, _require_size, predicted_counts)
 
+# The numpy-backed names, bound by _load() on first use (see base._binder).
 # Circuit, lower and build_w_circuit are unused here: wbench/tracer.py wraps
 # them by name in this module, so they stay importable from it.
+_load, __getattr__ = _binder(globals(), {
+    "gates": ("Circuit",),
+    "lowering": ("lower",),
+    "simulator": ("basis_state", "fidelity", "resolve_backend", "run", "w_reference"),
+    "synthesis": ("WNetwork", "build_w_circuit"),
+})
 
 DEFAULT_GATE_SUCCESS = 1.0 / 9.0
 DEFAULT_EXTRA_PAIR_RATE = 1e-4
@@ -125,6 +136,7 @@ def angle_sensitivity(
     |VH...H>, and the resulting fidelity recorded.  Records come back
     sorted by delta.
     """
+    _load()
     network = WNetwork(n, gate_position)  # checks the size, then the position
     n = network.n_qubits
     deltas = sorted(delta_degrees)  # once: an iterator is spent after one pass

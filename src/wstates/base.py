@@ -1,0 +1,127 @@
+"""The numpy-free names every module shares, and the binder of the rest.
+
+Everything here is plain Python: the gate kind codes, the lowering levels,
+the size and row caps and their checks, and the network's closed forms
+(gate counts and coupler angles).  The `analyze`, `growth` and `angles`
+verbs need nothing else, so they run without loading numpy.  gates,
+synthesis and circuit_io import these names from here and export them as
+their own.
+
+cli and analysis also hold numpy-backed names (build_w_circuit, run, ...).
+They get them through _binder, which binds them as module globals on first
+use: a verb that needs them calls load() first, and a read of one of them
+from outside the module (getattr, `from ... import`, monkeypatch) loads them
+through the module's __getattr__.  A name already bound, such as a wrapper
+set before the first load, is kept.
+"""
+from __future__ import annotations
+
+import enum
+import importlib
+import math
+import operator
+import sys
+from dataclasses import dataclass
+
+from .errors import CapacityError
+
+GATE_KINDS = ("F", "CNOT", "CZ", "ROT")
+F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE = range(len(GATE_KINDS))
+
+MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
+# Most rows `synth`, `angles` and `growth` write: the gates `synth` emits
+# (n = 2047 at most) or the lines of a table; past it they exit 3 before
+# building.  `lower` has no cap of its own: lowering the n = 2047 circuit to
+# elementary writes 2,104,310 rows.  At the cap, on 2 Xeon vCPUs with
+# Python 3.11 and numpy 2.4, a `synth` process takes 0.35-0.45 s and peaks at
+# 104 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
+# `angles` 2.3-2.8 s and 16 MB, `growth` 2.4-2.7 s and 16 MB (the tables
+# stream, and neither loads numpy).
+ROW_CAP = 1 << 21
+_WRITE_BLOCK = 4096  # lines a writer lays out or joins at a time
+
+
+class Level(enum.IntEnum):
+    """Lowering levels, ordered ELEMENTARY < CZ_LEVEL < COMPOSITE."""
+
+    ELEMENTARY = 0
+    CZ_LEVEL = 1
+    COMPOSITE = 2
+
+
+def _qubit_count(n, what: str = "qubit count") -> int:
+    """n as a plain int; ValueError naming what n is if it is not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} {n!r} is not an integer") from None
+
+
+def _require_rows(rows: int, what: str) -> None:
+    """CapacityError if what, with this many rows, would pass ROW_CAP."""
+    if rows > ROW_CAP:
+        raise CapacityError(f"{what} has {rows} rows, above the cap of {ROW_CAP}")
+
+
+# --- the network's closed forms ---------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class CountPrediction:
+    """Closed-form two-qubit gate counts for the n-qubit network."""
+
+    total_two_qubit: int
+    f_gates: int
+    cnot_gates: int
+
+
+N_MAX = math.isqrt(2 * int(sys.float_info.max))  # largest n whose ~n**2/2 gates are a float
+
+
+def _require_size(n: int) -> int:
+    """n as a plain int, once it is a size the network is defined for."""
+    n = _qubit_count(n)
+    if n < 3:
+        raise ValueError(f"unsupported size: need n >= 3, got {n}")
+    if n > N_MAX:
+        raise ValueError(f"unsupported size: need n <= {N_MAX:.4g}, whose gate count is a float")
+    return n
+
+
+def _coupler_alpha(n: int, j: int) -> float:
+    # Last coupler is the controlled Hadamard; emit pi/4 itself rather than
+    # arccos(1/sqrt(2)), which differs by one ulp.
+    if j == n - 1:
+        return math.pi / 4
+    return math.acos(1.0 / math.sqrt(n - j + 1))
+
+
+def _counts(n: int) -> tuple[int, int, int]:
+    """(total two-qubit, F, CNOT) gate counts of the network on n >= 3 qubits."""
+    return (n * (n + 1) - 4) // 2, n - 1, (n - 2) * (n + 1) // 2
+
+
+def predicted_counts(n: int) -> CountPrediction:
+    return CountPrediction(*_counts(_require_size(n)))
+
+
+# --- names bound on first use -----------------------------------------------
+
+def _binder(namespace: dict, table: dict[str, tuple[str, ...]]):
+    """(load, __getattr__) for the module whose globals are namespace, over
+    table {submodule of this package: names to bind from it}."""
+    owned = {name for names in table.values() for name in names}
+
+    def load() -> None:
+        for module, names in table.items():
+            missing = [name for name in names if name not in namespace]
+            if missing:
+                source = importlib.import_module(f".{module}", __package__)
+                namespace.update((name, getattr(source, name)) for name in missing)
+
+    def __getattr__(name: str):
+        if name not in owned:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load()
+        return namespace[name]
+
+    return load, __getattr__

@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from .base import _WRITE_BLOCK  # gate lines serialize_circuit lays out at a time
 from .errors import CircuitParseError
 from .gates import (
     F_CODE,
@@ -68,7 +69,6 @@ _VERSION = "1"
 # Byte table for bytes.translate: 1 where a byte may be part of a token,
 # that is, anything but a tab, an LF, a space or `#`.
 _WORD = bytes(c not in b"\t\n #" for c in range(256))
-_WRITE_BLOCK = 4096  # gate lines serialize_circuit lays out at a time
 # Each gate kind's keyword and its space, NUL-padded to one width, by kind code.
 _KEYWORDS = np.array([k.encode() + b" " for k in GATE_KINDS]).view(np.uint8).reshape(
     len(GATE_KINDS), -1)

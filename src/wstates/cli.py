@@ -4,6 +4,14 @@ Verbs: synth, lower, simulate, verify, analyze, angles, growth, sweep.
 All output is deterministic (no timestamps, '.' decimal point): circuit
 files carry 17-significant-digit angles, report values 12 significant
 digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
+
+analyze, angles and growth evaluate closed forms only, and run without
+loading numpy.  The names the file and simulation verbs use from the
+numpy-backed modules are bound as globals of this module on first use
+(base._binder): each of those verbs calls _load() first and then uses them
+as bare names, and a read of one of them from outside the module, such as a
+wrapper being installed, binds them too and keeps whatever wrapper is set.
+sweep reaches numpy through analysis.angle_sensitivity, which loads its own.
 """
 from __future__ import annotations
 
@@ -24,19 +32,17 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .circuit_io import _WRITE_BLOCK, load_circuit, serialize_circuit
+from .base import _WRITE_BLOCK, Level, _binder, _require_rows, predicted_counts
 from .errors import CapacityError, CircuitParseError
-from .gates import Level, _require_rows
-from .lowering import lower
-from .simulator import (
-    basis_state,
-    dump_state,
-    fidelity,
-    resolve_backend,
-    run,
-    w_reference,
-)
-from .synthesis import WNetwork, build_w_circuit, predicted_counts
+
+# The numpy-backed names, bound by _load() on first use (see base._binder).
+_load, __getattr__ = _binder(globals(), {
+    "circuit_io": ("load_circuit", "serialize_circuit"),
+    "lowering": ("lower",),
+    "simulator": ("basis_state", "dump_state", "fidelity", "resolve_backend", "run",
+                  "w_reference"),
+    "synthesis": ("WNetwork", "build_w_circuit"),
+})
 
 FIDELITY_PASS = 1.0 - 1e-10
 _LOWER_TARGETS = {"cz": Level.CZ_LEVEL, "elementary": Level.ELEMENTARY}
@@ -66,18 +72,21 @@ def _csv(header: str, lines):
 
 
 def _cmd_synth(args) -> int:
+    _load()
     _require_rows(predicted_counts(args.n).total_two_qubit, f"the {args.n}-qubit circuit")
     _emit((serialize_circuit(build_w_circuit(args.n)),), args.out)
     return 0
 
 
 def _cmd_lower(args) -> int:
+    _load()
     circuit = load_circuit(args.circuit)
     _emit((serialize_circuit(lower(circuit, _LOWER_TARGETS[args.to])),), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    _load()
     circuit = load_circuit(args.circuit)
     # The input is checked before run resolves the backend and its cap, so
     # a malformed input exits 2 even on a circuit no backend can run.
@@ -87,6 +96,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _load()
     n = args.n
     backend = resolve_backend(n, args.backend)
     out = run(WNetwork(n), basis_state(n, "V" + "H" * (n - 1), backend=backend))

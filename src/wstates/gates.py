@@ -30,42 +30,33 @@ Storage:
 """
 from __future__ import annotations
 
-import enum
 import math
 import numbers
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# The names shared with the numpy-free verbs live in base; every one of them
+# stays importable from here.
+from .base import (
+    CNOT_CODE,
+    CZ_CODE,
+    F_CODE,
+    GATE_KINDS,
+    MAX_QUBITS,
+    ROT_CODE,
+    ROW_CAP,
+    Level,
+    _qubit_count,
+    _require_rows,
+)
 from .errors import CapacityError
 
-GATE_KINDS = ("F", "CNOT", "CZ", "ROT")
-F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE = range(len(GATE_KINDS))
 KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
 ANGLED_KINDS = frozenset({"F", "ROT"})
 
 UNITARY_QUBIT_CAP = 10
-MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
-# Most rows `synth`, `angles` and `growth` write: the gates `synth` emits
-# (n = 2047 at most) or the lines of a table; past it they exit 3 before
-# building.  `lower` has no cap of its own: lowering the n = 2047 circuit to
-# elementary writes 2,104,310 rows.  At the cap, on 2 Xeon vCPUs with
-# Python 3.11 and numpy 2.4, a `synth` process takes 0.35-0.45 s and peaks at
-# 104 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
-# `angles` 2.5-3.0 s and 29 MB, `growth` 2.6-2.7 s and 29 MB (the tables
-# stream).
-ROW_CAP = 1 << 21
-
-
-class Level(enum.IntEnum):
-    """Lowering levels, ordered ELEMENTARY < CZ_LEVEL < COMPOSITE."""
-
-    ELEMENTARY = 0
-    CZ_LEVEL = 1
-    COMPOSITE = 2
-
 
 ALLOWED_KINDS = {
     Level.COMPOSITE: frozenset({"F", "CNOT"}),
@@ -242,20 +233,6 @@ def _frozen_column(convert, values, dtype, what: str) -> np.ndarray:
         raise ValueError(f"{what} out of range for {np.dtype(dtype)}")
     cast.setflags(write=False)
     return cast
-
-
-def _qubit_count(n, what: str = "qubit count") -> int:
-    """n as a plain int; ValueError naming what n is if it is not an integer."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"{what} {n!r} is not an integer") from None
-
-
-def _require_rows(rows: int, what: str) -> None:
-    """CapacityError if what, with this many rows, would pass ROW_CAP."""
-    if rows > ROW_CAP:
-        raise CapacityError(f"{what} has {rows} rows, above the cap of {ROW_CAP}")
 
 
 def columns_of(gates) -> GateColumns:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import _WRITE_BLOCK
 from .errors import CapacityError
 from .gates import (
     CNOT_CODE,
@@ -529,6 +530,19 @@ def run(
 def dump_state(state: QuantumState) -> str:
     """Text dump: '<bitstring> <amplitude>' per nonzero entry, sorted by
     descending |amplitude| then bitstring; 17 significant digits."""
-    entries = [(bits_of(k, state.n), v) for k, v in state.items()]
-    entries.sort(key=lambda e: (-abs(e[1]), e[0]))
-    return "".join(f"{b} {v:.17g}\n" for b, v in entries)
+    n = state.n
+    if state.backend == "sparse":
+        entries = [(bits_of(k, n), v) for k, v in state.items()]
+        entries.sort(key=lambda e: (-abs(e[1]), e[0]))
+        return "".join(f"{b} {v:.17g}\n" for b, v in entries)
+    # Bitstrings of one width sort as their indices, so one lexsort orders a
+    # dense state's entries; its lines are made _WRITE_BLOCK at a time.
+    index = np.flatnonzero(state.amplitudes)
+    values = state.amplitudes[index]
+    order = np.lexsort((index, -np.abs(values)))
+    index, values = index[order], values[order]
+    return "".join(
+        "".join(f"{k:0{n}b} {v:.17g}\n" for k, v in zip(
+            index[block : block + _WRITE_BLOCK].tolist(),
+            values[block : block + _WRITE_BLOCK].tolist()))
+        for block in range(0, index.size, _WRITE_BLOCK))

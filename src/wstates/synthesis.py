@@ -20,11 +20,20 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+# The closed forms live in base, where the numpy-free verbs read them; they
+# stay importable from here.
+from .base import (
+    N_MAX,
+    CountPrediction,
+    _counts,
+    _coupler_alpha,
+    _require_size,
+    predicted_counts,
+)
 from .gates import CNOT_CODE, F_CODE, Circuit, GateColumns, Level, _qubit_count
 
 
@@ -48,36 +57,6 @@ class AngleSchedule:
     entries: tuple[ScheduleEntry, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CountPrediction:
-    """Closed-form two-qubit gate counts for the n-qubit network."""
-
-    total_two_qubit: int
-    f_gates: int
-    cnot_gates: int
-
-
-N_MAX = math.isqrt(2 * int(sys.float_info.max))  # largest n whose ~n**2/2 gates are a float
-
-
-def _require_size(n: int) -> int:
-    """n as a plain int, once it is a size the network is defined for."""
-    n = _qubit_count(n)
-    if n < 3:
-        raise ValueError(f"unsupported size: need n >= 3, got {n}")
-    if n > N_MAX:
-        raise ValueError(f"unsupported size: need n <= {N_MAX:.4g}, whose gate count is a float")
-    return n
-
-
-def _coupler_alpha(n: int, j: int) -> float:
-    # Last coupler is the controlled Hadamard; emit pi/4 itself rather than
-    # arccos(1/sqrt(2)), which differs by one ulp.
-    if j == n - 1:
-        return math.pi / 4
-    return math.acos(1.0 / math.sqrt(n - j + 1))
-
-
 def angle_schedule(n: int) -> AngleSchedule:
     """Mixing and plate angles of the n-1 couplers, ordered by position.
 
@@ -91,15 +70,6 @@ def angle_schedule(n: int) -> AngleSchedule:
         alpha = _coupler_alpha(n, j)
         entries.append(ScheduleEntry((j, j + 1), alpha, alpha / 4.0))
     return AngleSchedule(n, tuple(entries))
-
-
-def _counts(n: int) -> tuple[int, int, int]:
-    """(total two-qubit, F, CNOT) gate counts of the network on n >= 3 qubits."""
-    return (n * (n + 1) - 4) // 2, n - 1, (n - 2) * (n + 1) // 2
-
-
-def predicted_counts(n: int) -> CountPrediction:
-    return CountPrediction(*_counts(_require_size(n)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,6 +25,7 @@ from wstates import (
     unitary_of,
     w_reference,
 )
+from wstates import simulator
 from wstates.simulator import _CHUNK, resolve_backend
 
 
@@ -380,6 +381,48 @@ def test_dump_breaks_amplitude_ties_by_bitstring():
     lines = dump_state(state).splitlines()
     assert abs(state.amplitude(1)) == abs(state.amplitude(2))
     assert [ln.split()[0] for ln in lines] == ["00", "01", "10", "11"]
+
+
+def _reference_dump_state(state):
+    """The one-list dump that dump_state had for both storages: every entry
+    as a (bits, value) tuple, sorted with a Python key."""
+    entries = [(format(k, f"0{state.n}b"), v) for k, v in state.items()]
+    entries.sort(key=lambda e: (-abs(e[1]), e[0]))
+    return "".join(f"{b} {v:.17g}\n" for b, v in entries)
+
+
+@st.composite
+def _tied_states(draw):
+    """A normalized dense state whose entries take a few magnitudes, each
+    with either sign, so ties in |v| and +-v pairs are common."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.floats(1e-150, 1.0), min_size=1, max_size=3))
+    value = st.sampled_from(pool).flatmap(lambda m: st.sampled_from((m, -m)))
+    raw = draw(st.lists(st.one_of(st.just(0.0), value), min_size=1 << n, max_size=1 << n))
+    if not any(raw):
+        raw[draw(st.integers(0, (1 << n) - 1))] = pool[0]
+    norm = math.sqrt(math.fsum(v * v for v in raw))
+    return QuantumState(n, np.array(raw) / norm)
+
+
+@given(_tied_states())
+@example(QuantumState(2, np.array([0.5, -0.5, 0.5, -0.5])))
+@example(QuantumState(3, np.array([0.0, -0.6, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0])))
+@example(QuantumState(1, np.array([0.0, -1.0])))
+def test_dump_matches_the_one_list_dump(state):
+    text = dump_state(state)
+    assert text == _reference_dump_state(state)
+    sparse = state.to_sparse()
+    assert dump_state(sparse) == _reference_dump_state(sparse) == text
+
+
+def test_dense_dump_spans_several_blocks(monkeypatch):
+    monkeypatch.setattr(simulator, "_WRITE_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    amps = rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], size=1 << 6)
+    amps[0] = 1.0
+    state = QuantumState(6, amps / np.linalg.norm(amps))
+    assert dump_state(state) == _reference_dump_state(state)
 
 
 def test_norm_holds_after_every_gate_at_n2000():
