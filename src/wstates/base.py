@@ -1,11 +1,11 @@
 """The numpy-free names every module shares, and the binder of the rest.
 
 Everything here is plain Python: the gate kind codes, the lowering levels,
-the size and row caps and their checks, and the network's closed forms
-(gate counts and coupler angles).  The `analyze`, `growth` and `angles`
-verbs need nothing else, so they run without loading numpy.  gates,
-synthesis and circuit_io import these names from here and export them as
-their own.
+the wcircuit header, the size and row caps and their checks, and the
+network's closed forms (gate counts, coupler angles and the gate order,
+_network_ops).  The `synth`, `analyze`, `growth` and `angles` verbs need
+nothing else, so they run without loading numpy.  gates, synthesis and
+circuit_io import these names from here and export them as their own.
 
 cli and analysis also hold numpy-backed names (build_w_circuit, run, ...).
 They get them through _binder, which binds them as module globals on first
@@ -33,12 +33,13 @@ MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 # (n = 2047 at most) or the lines of a table; past it they exit 3 before
 # building.  `lower` has no cap of its own: lowering the n = 2047 circuit to
 # elementary writes 2,104,310 rows.  At the cap, on 2 Xeon vCPUs with
-# Python 3.11 and numpy 2.4, a `synth` process takes 0.35-0.45 s and peaks at
-# 104 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
-# `angles` 2.3-2.8 s and 16 MB, `growth` 2.4-2.7 s and 16 MB (the tables
-# stream, and neither loads numpy).
+# Python 3.11 and numpy 2.4, a `synth` process takes 0.11-0.18 s and peaks at
+# 15 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
+# `angles` 2.3-2.8 s and 16 MB, `growth` 2.4-2.7 s and 16 MB (all three
+# stream their text, and none loads numpy).
 ROW_CAP = 1 << 21
 _WRITE_BLOCK = 4096  # lines a writer lays out or joins at a time
+_HEADER, _VERSION = "wcircuit", "1"  # a wcircuit file's first line
 
 
 class Level(enum.IntEnum):
@@ -102,6 +103,26 @@ def _counts(n: int) -> tuple[int, int, int]:
 
 def predicted_counts(n: int) -> CountPrediction:
     return CountPrediction(*_counts(_require_size(n)))
+
+
+def _network_ops(n: int, position: int = 1, shift: float = 0.0):
+    """The gates of the network on n >= 3 qubits, in order, as ops (kind
+    code, control, target, angle): an F with an int control, a CNOT run with
+    a range of controls.  shift is added to the angle of F(position,
+    position + 1)."""
+    alpha = [0.0, *(_coupler_alpha(n, j) for j in range(1, n))]  # of F(j, j+1)
+    alpha[position] += shift  # the same bits as a float64 column add
+    # Head, n+1 gates: F(j, j+1) for j = 1..n-2, CNOT(n-1, n-2), F(n-1, n),
+    # CNOT(n, n-1).  Then the fan-in layers, innermost enhancement first:
+    # CNOT(m, t) for m = t+1..n, t = n-3..1.  Within a layer the CNOTs
+    # commute (shared target, disjoint controls) and ascend for stable output.
+    for j in range(1, n - 1):
+        yield F_CODE, j, j + 1, alpha[j]
+    yield CNOT_CODE, range(n - 1, n), n - 2, 0.0
+    yield F_CODE, n - 1, n, alpha[n - 1]
+    yield CNOT_CODE, range(n, n + 1), n - 1, 0.0
+    for t in range(n - 3, 0, -1):
+        yield CNOT_CODE, range(t + 1, n + 1), t, 0.0
 
 
 # --- names bound on first use -----------------------------------------------

@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from .base import _HEADER, _VERSION
 from .base import _WRITE_BLOCK  # gate lines serialize_circuit lays out at a time
 from .errors import CircuitParseError
 from .gates import (
@@ -64,8 +65,6 @@ from .gates import (
     Level,
 )
 
-_HEADER = "wcircuit"
-_VERSION = "1"
 # Byte table for bytes.translate: 1 where a byte may be part of a token,
 # that is, anything but a tab, an LF, a space or `#`.
 _WORD = bytes(c not in b"\t\n #" for c in range(256))

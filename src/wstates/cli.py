@@ -5,9 +5,11 @@ All output is deterministic (no timestamps, '.' decimal point): circuit
 files carry 17-significant-digit angles, report values 12 significant
 digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
 
-analyze, angles and growth evaluate closed forms only, and run without
-loading numpy.  The names the file and simulation verbs use from the
-numpy-backed modules are bound as globals of this module on first use
+synth, analyze, angles and growth evaluate closed forms only, and run
+without loading numpy: synth writes the network's text straight from its op
+stream (base._network_ops), one line per F and one join per fan-in layer.
+The names the file and simulation verbs use from the numpy-backed modules
+are bound as globals of this module on first use
 (base._binder): each of those verbs calls _load() first and then uses them
 as bare names, and a read of one of them from outside the module, such as a
 wrapper being installed, binds them too and keeps whatever wrapper is set.
@@ -32,10 +34,14 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .base import _WRITE_BLOCK, Level, _binder, _require_rows, predicted_counts
+from .base import (_HEADER, _VERSION, _WRITE_BLOCK, F_CODE, Level, _binder, _network_ops,
+                   _require_rows, predicted_counts)
 from .errors import CapacityError, CircuitParseError
 
 # The numpy-backed names, bound by _load() on first use (see base._binder).
+# build_w_circuit is unused here, and only lower calls serialize_circuit:
+# wbench/tracer.py wraps both by name in this module, so they stay
+# importable from it.
 _load, __getattr__ = _binder(globals(), {
     "circuit_io": ("load_circuit", "serialize_circuit"),
     "lowering": ("lower",),
@@ -71,10 +77,22 @@ def _csv(header: str, lines):
         yield "\n".join(block) + "\n"
 
 
+def _network_text(n: int):
+    """serialize_circuit(build_w_circuit(n)) in chunks, from the op stream:
+    the header, one line per F, one join per CNOT run."""
+    digits = [str(k) for k in range(n + 1)]
+    yield f"{_HEADER} {_VERSION}\nqubits {n}\n"
+    for kind, control, target, angle in _network_ops(n):
+        if kind == F_CODE:
+            yield f"F {control} {target} {angle:.17g}\n"
+        else:
+            yield ("CNOT " + f" {target}\nCNOT ".join(digits[control.start : control.stop])
+                   + f" {target}\n")
+
+
 def _cmd_synth(args) -> int:
-    _load()
     _require_rows(predicted_counts(args.n).total_two_qubit, f"the {args.n}-qubit circuit")
-    _emit((serialize_circuit(build_w_circuit(args.n)),), args.out)
+    _emit(_network_text(args.n), args.out)
     return 0
 
 

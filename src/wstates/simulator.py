@@ -29,12 +29,12 @@ owns, so no gate allocates more than a chunk.  The sparse engine keeps
 each key as 64-bit words beside an amplitude vector (crossing its boundary
 in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
 control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
-and adds s of its partner, paired by one stable sort (a W coupler's one row
-has none), and appends each missing partner as s of its row.  Only _compact,
-which ends each mix, drops rows (below PRUNE_THRESHOLD); a one-row mix skips it
-when the support is pruned and neither value it wrote is below.  With no
-support bound known, _grow raises CapacityError before passing
-SPARSE_ENGINE_BYTES.
+and adds s of its partner, paired by one stable sort when the rows hold both
+values of the target bit (a W coupler's one row has none), and appends each
+missing partner as s of its row.  Only _compact, which ends each mix, drops
+rows (below PRUNE_THRESHOLD); a one-row mix skips it when the support is
+pruned and neither value it wrote is below.  With no support bound known,
+_grow raises CapacityError before passing SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -408,16 +408,19 @@ class _SparseEngine:
             return
         sub = self.keys[:, rows]
         ones = (sub[word] & bit) != 0
-        sub[word] &= ~np.uint64(bit)
-        order = np.lexsort(sub[::-1])
-        ranked = sub[:, order]
-        pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
-        lo, hi = order[:-1][pair], order[1:][pair]
         amps = self.amps[rows]
         partner = np.zeros(rows.size)
-        partner[lo], partner[hi] = amps[hi], amps[lo]
         lone = np.ones(rows.size, dtype=bool)
-        lone[lo] = lone[hi] = False
+        # A pair holds both values of the target bit, so rows that all share
+        # one (every elementary coupler's first ROT) skip the sort.
+        if ones.any() and not ones.all():
+            sub[word] &= ~np.uint64(bit)
+            order = np.lexsort(sub[::-1])
+            ranked = sub[:, order]
+            pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+            lo, hi = order[:-1][pair], order[1:][pair]
+            partner[lo], partner[hi] = amps[hi], amps[lo]
+            lone[lo] = lone[hi] = False
         self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
         src, vals = rows[lone], s * amps[lone]
         end = m + len(src)

@@ -9,12 +9,14 @@ followed by the previous network shifted down one wire, followed by a layer
 CNOT(k,1) for k = 2..n.  Each enhancement adds exactly n two-qubit gates,
 giving (n(n+1) - 4)/2 gates in total: n-1 F couplers and (n-2)(n+1)/2 CNOTs.
 
-WNetwork writes the unrolled order down once, as a stream of 2n-2 ops: F
-couplers F(j, j+1) for j = 1..n-3, the shifted 3-qubit base on wires
-n-2..n, then the CNOT fan-in layers from the innermost enhancement outward,
-one op with an arange of controls per layer.  run() takes the stream as it
-is, in O(n) memory; build_w_circuit expands it into gate columns, with no
-per-gate Python work, for the verbs that need the gates themselves.
+The unrolled order is written down once, in base._network_ops, as a stream
+of 2n-2 ops: F couplers F(j, j+1) for j = 1..n-3, the shifted 3-qubit base
+on wires n-2..n, then the CNOT fan-in layers from the innermost enhancement
+outward, one op with a range of controls per layer.  WNetwork.ops() yields
+that stream with each range as an int32 arange; run() takes it as it is, in
+O(n) memory, and build_w_circuit expands it into gate columns, with no
+per-gate Python work, for the verbs that need the gates themselves.  cli's
+`synth` writes the text from the base stream itself, without numpy.
 """
 from __future__ import annotations
 
@@ -31,10 +33,11 @@ from .base import (
     CountPrediction,
     _counts,
     _coupler_alpha,
+    _network_ops,
     _require_size,
     predicted_counts,
 )
-from .gates import CNOT_CODE, F_CODE, Circuit, GateColumns, Level, _qubit_count
+from .gates import CNOT_CODE, Circuit, GateColumns, Level, _qubit_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,21 +99,13 @@ class WNetwork:
         object.__setattr__(self, "shift", float(self.shift))
 
     def ops(self):
-        """(kind code, control, target, angle) per op, as in Circuit.ops()."""
-        n = self.n_qubits
-        alpha = [0.0, *(_coupler_alpha(n, j) for j in range(1, n))]  # of F(j, j+1)
-        alpha[self.position] += self.shift  # the same bits as a float64 column add
-        # Head, n+1 gates: F(j, j+1) for j = 1..n-2, CNOT(n-1, n-2), F(n-1, n),
-        # CNOT(n, n-1).  Then the fan-in layers, innermost enhancement first:
-        # CNOT(m, t) for m = t+1..n, t = n-3..1.  Within a layer the CNOTs
-        # commute (shared target, disjoint controls) and ascend for stable output.
-        for j in range(1, n - 1):
-            yield F_CODE, j, j + 1, alpha[j]
-        yield CNOT_CODE, np.array([n - 1], dtype=np.int32), n - 2, 0.0
-        yield F_CODE, n - 1, n, alpha[n - 1]
-        yield CNOT_CODE, np.array([n], dtype=np.int32), n - 1, 0.0
-        for t in range(n - 3, 0, -1):
-            yield CNOT_CODE, np.arange(t + 1, n + 1, dtype=np.int32), t, 0.0
+        """(kind code, control, target, angle) per op, as in Circuit.ops():
+        base._network_ops with each run's controls as an int32 arange."""
+        for kind, control, target, angle in _network_ops(self.n_qubits, self.position,
+                                                         self.shift):
+            if kind == CNOT_CODE:
+                control = np.arange(control.start, control.stop, dtype=np.int32)
+            yield kind, control, target, angle
 
     @property
     def gates(self) -> GateColumns:

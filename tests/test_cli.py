@@ -48,6 +48,16 @@ def test_synth_round_trips_through_file(tmp_path, capsys):
     assert parse_circuit(path.read_text()) == build_w_circuit(5)
 
 
+@pytest.mark.parametrize("sizes", [range(3, 301), (999, 1000, 2047)], ids=["3-300", "cap"])
+def test_synth_writes_the_bytes_of_the_serialized_circuit(tmp_path, sizes):
+    from wstates import build_w_circuit, serialize_circuit
+
+    path = tmp_path / "c.wc"
+    for n in sizes:
+        assert main(["synth", "--n", str(n), "--out", str(path)]) == 0
+        assert path.read_bytes() == serialize_circuit(build_w_circuit(n)).encode(), n
+
+
 def test_synth_rejects_small_n(capsys):
     code, _, err = cli(capsys, "synth", "--n", "2")
     assert code == 2
@@ -276,12 +286,15 @@ def test_growth_rejects_small_max(capsys):
 )
 def test_row_cap_exits_3_before_building(monkeypatch, capsys, argv, rows):
     import wstates.analysis
+    import wstates.base
     import wstates.cli
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was built past the cap")
 
     monkeypatch.setattr(wstates.cli, "build_w_circuit", no_rows)
+    monkeypatch.setattr(wstates.cli, "_network_ops", no_rows)
+    monkeypatch.setattr(wstates.base, "_coupler_alpha", no_rows)
     monkeypatch.setattr(wstates.analysis, "predicted_counts", no_rows)
     monkeypatch.setattr(wstates.analysis, "_coupler_alpha", no_rows)
     code, out, err = cli(capsys, *argv)

@@ -375,6 +375,13 @@ def _bits_of(state):
 @example((3, (ROT(2, math.pi),), {0b100: 0.6, 0b001: -0.8}))
 @example((65, (ROT(64, 0.7), ROT(65, math.pi)), {1 << 64: 0.6, 0b11: 0.8}))
 @example((130, (F(1, 64, 0.7), F(64, 65, 0.3), F(1, 130, math.pi)), {1 << 129: 1.0}))
+# Two or more selected rows that all have the target bit clear, then all set,
+# so no pair can exist and the sort is skipped; without and with a control,
+# whose clear rows stay out of the mix.
+@example((3, (ROT(2, 0.7),), {0b100: 0.6, 0b001: 0.8}))
+@example((3, (ROT(2, 0.7),), {0b110: 0.6, 0b011: 0.8}))
+@example((3, (F(1, 2, 0.7),), {0b100: 0.48, 0b101: 0.6, 0b010: 0.64}))
+@example((3, (F(1, 2, 0.7),), {0b110: 0.48, 0b111: 0.6, 0b010: 0.64}))
 def test_mix_matches_the_reference_mix(drawn):
     n, gates, amplitudes = drawn
     circuit, state = Circuit(n, gates), QuantumState(n, amplitudes)

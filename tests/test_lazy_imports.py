@@ -49,11 +49,15 @@ def _exits(argv, code):
         _exits(["analyze", "--n", "800", "--gamma", "0.1"], 0),
         _exits(["growth", "--max", "50"], 0),
         _exits(["angles", "--max", "50"], 0),
+        _exits(["synth", "--n", "300", "--out", os.devnull], 0),
         _exits(["analyze"], 2),
         _exits(["analyze", "--n", "2"], 2),
+        _exits(["synth", "--n", "2"], 2),
+        _exits(["synth", "--n", "2048"], 3),
         _exits(["frobnicate"], 2),
     ],
-    ids=["package", "cli", "analyze", "growth", "angles", "no-n", "bad-n", "bad-verb"],
+    ids=["package", "cli", "analyze", "growth", "angles", "synth", "no-n", "bad-n",
+         "synth-bad-n", "synth-past-cap", "bad-verb"],
 )
 def test_light_path_imports_no_numpy(script):
     _fresh(script + "\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'\n")
