@@ -2,8 +2,9 @@
 
 Everything here is plain Python: the gate kind codes, the lowering levels,
 the wcircuit header, the size and row caps and their checks, and the
-network's closed forms (gate counts, coupler angles and the gate order,
-_network_ops).  The `synth`, `analyze`, `growth` and `angles` verbs need
+network's closed forms (gate counts, coupler angles, the gate order
+_network_ops and the network's wcircuit text _network_text, which `synth`
+writes).  The `synth`, `analyze`, `growth` and `angles` verbs need
 nothing else, so they run without loading numpy.  gates, synthesis and
 circuit_io import these names from here and export them as their own.
 
@@ -123,6 +124,20 @@ def _network_ops(n: int, position: int = 1, shift: float = 0.0):
     yield CNOT_CODE, range(n, n + 1), n - 1, 0.0
     for t in range(n - 3, 0, -1):
         yield CNOT_CODE, range(t + 1, n + 1), t, 0.0
+
+
+def _network_text(n: int):
+    """The wcircuit text of the network on n >= 3 qubits, in chunks, from
+    its op stream: the header, one line per F, one join per CNOT run.  The
+    same bytes as circuit_io.serialize_circuit(synthesis.build_w_circuit(n))."""
+    digits = [str(k) for k in range(n + 1)]
+    yield f"{_HEADER} {_VERSION}\nqubits {n}\n"
+    for kind, control, target, angle in _network_ops(n):
+        if kind == F_CODE:
+            yield f"F {control} {target} {angle:.17g}\n"
+        else:
+            yield ("CNOT " + f" {target}\nCNOT ".join(digits[control.start : control.stop])
+                   + f" {target}\n")
 
 
 # --- names bound on first use -----------------------------------------------

@@ -6,8 +6,8 @@ files carry 17-significant-digit angles, report values 12 significant
 digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
 
 synth, analyze, angles and growth evaluate closed forms only, and run
-without loading numpy: synth writes the network's text straight from its op
-stream (base._network_ops), one line per F and one join per fan-in layer.
+without loading numpy: synth writes the network's text with
+base._network_text, straight from its op stream.
 The names the file and simulation verbs use from the numpy-backed modules
 are bound as globals of this module on first use
 (base._binder): each of those verbs calls _load() first and then uses them
@@ -34,8 +34,8 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .base import (_HEADER, _VERSION, _WRITE_BLOCK, F_CODE, Level, _binder, _network_ops,
-                   _require_rows, predicted_counts)
+from .base import (_WRITE_BLOCK, Level, _binder, _network_text, _require_rows,
+                   predicted_counts)
 from .errors import CapacityError, CircuitParseError
 
 # The numpy-backed names, bound by _load() on first use (see base._binder).
@@ -75,19 +75,6 @@ def _csv(header: str, lines):
     lines = iter(lines)
     while block := list(islice(lines, _WRITE_BLOCK)):
         yield "\n".join(block) + "\n"
-
-
-def _network_text(n: int):
-    """serialize_circuit(build_w_circuit(n)) in chunks, from the op stream:
-    the header, one line per F, one join per CNOT run."""
-    digits = [str(k) for k in range(n + 1)]
-    yield f"{_HEADER} {_VERSION}\nqubits {n}\n"
-    for kind, control, target, angle in _network_ops(n):
-        if kind == F_CODE:
-            yield f"F {control} {target} {angle:.17g}\n"
-        else:
-            yield ("CNOT " + f" {target}\nCNOT ".join(digits[control.start : control.stop])
-                   + f" {target}\n")
 
 
 def _cmd_synth(args) -> int:

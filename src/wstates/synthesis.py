@@ -15,8 +15,9 @@ on wires n-2..n, then the CNOT fan-in layers from the innermost enhancement
 outward, one op with a range of controls per layer.  WNetwork.ops() yields
 that stream with each range as an int32 arange; run() takes it as it is, in
 O(n) memory, and build_w_circuit expands it into gate columns, with no
-per-gate Python work, for the verbs that need the gates themselves.  cli's
-`synth` writes the text from the base stream itself, without numpy.
+per-gate Python work, for the verbs that need the gates themselves.  The
+network's wcircuit text is written from the same stream by
+base._network_text, which `synth` emits without loading numpy.
 """
 from __future__ import annotations
 

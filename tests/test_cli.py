@@ -293,7 +293,7 @@ def test_row_cap_exits_3_before_building(monkeypatch, capsys, argv, rows):
         raise AssertionError("a row was built past the cap")
 
     monkeypatch.setattr(wstates.cli, "build_w_circuit", no_rows)
-    monkeypatch.setattr(wstates.cli, "_network_ops", no_rows)
+    monkeypatch.setattr(wstates.base, "_network_ops", no_rows)
     monkeypatch.setattr(wstates.base, "_coupler_alpha", no_rows)
     monkeypatch.setattr(wstates.analysis, "predicted_counts", no_rows)
     monkeypatch.setattr(wstates.analysis, "_coupler_alpha", no_rows)
