@@ -1,12 +1,13 @@
 """The numpy-free names every module shares, and the binder of the rest.
 
 Everything here is plain Python: the gate kind codes, the lowering levels,
-the wcircuit header, the size and row caps and their checks, and the
-network's closed forms (gate counts, coupler angles, the gate order
-_network_ops and the network's wcircuit text _network_text, which `synth`
-writes).  The `synth`, `analyze`, `growth` and `angles` verbs need
-nothing else, so they run without loading numpy.  gates, synthesis and
-circuit_io import these names from here and export them as their own.
+the wcircuit header, the size and row caps and their checks, _blocks (the
+block writer of the CSV tables and state dumps), and the network's closed
+forms (gate counts, coupler angles, the gate order _network_ops and the
+network's wcircuit text _network_text, which `synth` writes).  The `synth`,
+`analyze`, `growth` and `angles` verbs need nothing else, so they run
+without loading numpy.  gates, synthesis and circuit_io import these names
+from here and export them as their own.
 
 cli and analysis also hold numpy-backed names (build_w_circuit, run, ...).
 They get them through _binder, which binds them as module globals on first
@@ -23,6 +24,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import CapacityError
 
@@ -41,6 +43,13 @@ MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 ROW_CAP = 1 << 21
 _WRITE_BLOCK = 4096  # lines a writer lays out or joins at a time
 _HEADER, _VERSION = "wcircuit", "1"  # a wcircuit file's first line
+
+
+def _blocks(lines):
+    """The LF-terminated lines, joined _WRITE_BLOCK at a time."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _WRITE_BLOCK)):
+        yield block
 
 
 class Level(enum.IntEnum):

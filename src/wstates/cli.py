@@ -7,13 +7,13 @@ digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
 
 synth, analyze, angles and growth evaluate closed forms only, and run
 without loading numpy: synth writes the network's text with
-base._network_text, straight from its op stream.
-The names the file and simulation verbs use from the numpy-backed modules
-are bound as globals of this module on first use
+base._network_text, straight from its op stream.  verify is sweep's
+pipeline, analysis.angle_sensitivity, at a plate-angle offset of 0; the
+tables and dumps write their lines through base._blocks.  The names lower
+and simulate use from the numpy-backed modules are bound on first use
 (base._binder): each of those verbs calls _load() first and then uses them
 as bare names, and a read of one of them from outside the module, such as a
 wrapper being installed, binds them too and keeps whatever wrapper is set.
-sweep reaches numpy through analysis.angle_sensitivity, which loads its own.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import json
 import sys
-from itertools import islice
 
 from .analysis import (
     DEFAULT_DELTAS,
@@ -34,20 +33,17 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .base import (_WRITE_BLOCK, Level, _binder, _network_text, _require_rows,
-                   predicted_counts)
+from .base import Level, _binder, _blocks, _network_text, _require_rows, predicted_counts
 from .errors import CapacityError, CircuitParseError
 
 # The numpy-backed names, bound by _load() on first use (see base._binder).
-# build_w_circuit is unused here, and only lower calls serialize_circuit:
-# wbench/tracer.py wraps both by name in this module, so they stay
-# importable from it.
+# build_w_circuit, fidelity and w_reference are unused here: wbench/tracer.py
+# wraps them by name in this module, so they stay importable from it.
 _load, __getattr__ = _binder(globals(), {
     "circuit_io": ("load_circuit", "serialize_circuit"),
     "lowering": ("lower",),
-    "simulator": ("basis_state", "dump_state", "fidelity", "resolve_backend", "run",
-                  "w_reference"),
-    "synthesis": ("WNetwork", "build_w_circuit"),
+    "simulator": ("basis_state", "dump_state", "fidelity", "run", "w_reference"),
+    "synthesis": ("build_w_circuit",),
 })
 
 FIDELITY_PASS = 1.0 - 1e-10
@@ -70,11 +66,9 @@ def _emit(chunks, out: str | None) -> None:
 
 
 def _csv(header: str, lines):
-    """CSV text in chunks: the header line, then the lines _WRITE_BLOCK at a time."""
+    """CSV text in chunks: the header line, then the LF-terminated lines."""
     yield header + "\n"
-    lines = iter(lines)
-    while block := list(islice(lines, _WRITE_BLOCK)):
-        yield "\n".join(block) + "\n"
+    yield from _blocks(lines)
 
 
 def _cmd_synth(args) -> int:
@@ -101,13 +95,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _load()
-    n = args.n
-    backend = resolve_backend(n, args.backend)
-    out = run(WNetwork(n), basis_state(n, "V" + "H" * (n - 1), backend=backend))
-    fid = fidelity(out, w_reference(n))
-    _emit((f"n={n} fidelity={fid:.12f}\n",), None)
-    return 0 if fid >= FIDELITY_PASS else 2
+    # The unperturbed network: a plate-angle offset of 0 adds 0.0 to a
+    # positive angle, so its bits are the network's own.
+    (record,) = angle_sensitivity(args.n, 1, (0.0,), backend=args.backend)
+    _emit((f"n={args.n} fidelity={record.fidelity:.12f}\n",), None)
+    # Not record.failed(): a NaN fidelity must fail too.
+    return 0 if record.fidelity >= FIDELITY_PASS else 2
 
 
 def _cmd_analyze(args) -> int:
@@ -142,13 +135,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    lines = (f"{n},{_fmt(deg)}" for n, deg in plate_angle_table(args.max))
+    lines = (f"{n},{_fmt(deg)}\n" for n, deg in plate_angle_table(args.max))
     _emit(_csv("n,plate_angle_degrees", lines), args.out)
     return 0
 
 
 def _cmd_growth(args) -> int:
-    lines = (f"{n},{t},{f},{c}" for n, t, f, c in gate_growth_table(args.max))
+    lines = (f"{n},{t},{f},{c}\n" for n, t, f, c in gate_growth_table(args.max))
     _emit(_csv("n,total,f_count,cnot_count", lines), args.out)
     return 0
 
@@ -158,8 +151,8 @@ def _cmd_sweep(args) -> int:
     if not deltas:
         raise ValueError("no perturbations given")
     records = angle_sensitivity(args.n, args.position, deltas, backend=args.backend)
-    lines = (f"{r.n},{r.perturbed_gate_position},{_fmt(r.delta_plate_angle)},{_fmt(r.fidelity)}"
-             for r in records)
+    lines = (f"{r.n},{r.perturbed_gate_position},{_fmt(r.delta_plate_angle)},"
+             f"{_fmt(r.fidelity)}\n" for r in records)
     _emit(_csv("n,perturbed_gate_position,delta_plate_angle,fidelity", lines), args.out)
     return 0
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _WRITE_BLOCK
+from .base import _WRITE_BLOCK, _blocks
 from .errors import CapacityError
 from .gates import (
     CNOT_CODE,
@@ -113,11 +113,9 @@ class QuantumState:
         if isinstance(self.amplitudes, Mapping):
             items = {}
             for k, v in self.amplitudes.items():
-                k = _qubit_count(k, "basis index")
+                k = self._index(k)
                 if not isinstance(v, numbers.Real):
                     raise ValueError("amplitudes must be real")
-                if k < 0 or k.bit_length() > self.n:
-                    raise ValueError(f"basis index {k} does not fit {self.n} qubits")
                 if v != 0.0:
                     items[k] = float(v)
             object.__setattr__(self, "amplitudes", items)
@@ -141,11 +139,16 @@ class QuantumState:
             f"support={self.support_size()})"
         )
 
-    def amplitude(self, index: int) -> float:
-        """The amplitude of basis state index; ValueError unless 0 <= index < 2**n."""
+    def _index(self, index) -> int:
+        """index as a plain int; ValueError unless 0 <= index < 2**n."""
         k = _qubit_count(index, "basis index")
         if k < 0 or k.bit_length() > self.n:
             raise ValueError(f"basis index {k} does not fit {self.n} qubits")
+        return k
+
+    def amplitude(self, index: int) -> float:
+        """The amplitude of basis state index; ValueError unless 0 <= index < 2**n."""
+        k = self._index(index)
         if self.backend == "dense":
             return float(self.amplitudes[k])
         return self.amplitudes.get(k, 0.0)
@@ -532,20 +535,18 @@ def run(
 
 def dump_state(state: QuantumState) -> str:
     """Text dump: '<bitstring> <amplitude>' per nonzero entry, sorted by
-    descending |amplitude| then bitstring; 17 significant digits."""
+    descending |amplitude| then bitstring; 17 digits, through base._blocks."""
     n = state.n
+    # Bitstrings of one width sort as their indices.
     if state.backend == "sparse":
-        entries = [(bits_of(k, n), v) for k, v in state.items()]
-        entries.sort(key=lambda e: (-abs(e[1]), e[0]))
-        return "".join(f"{b} {v:.17g}\n" for b, v in entries)
-    # Bitstrings of one width sort as their indices, so one lexsort orders a
-    # dense state's entries; its lines are made _WRITE_BLOCK at a time.
-    index = np.flatnonzero(state.amplitudes)
-    values = state.amplitudes[index]
-    order = np.lexsort((index, -np.abs(values)))
-    index, values = index[order], values[order]
-    return "".join(
-        "".join(f"{k:0{n}b} {v:.17g}\n" for k, v in zip(
-            index[block : block + _WRITE_BLOCK].tolist(),
-            values[block : block + _WRITE_BLOCK].tolist()))
-        for block in range(0, index.size, _WRITE_BLOCK))
+        entries = sorted(state.items(), key=lambda e: (-abs(e[1]), e[0]))
+    else:
+        # One lexsort orders a dense state's entries, which become Python
+        # numbers _WRITE_BLOCK at a time.
+        index = np.flatnonzero(state.amplitudes)
+        index = index[np.lexsort((index, -np.abs(state.amplitudes[index])))]
+        values = state.amplitudes[index]
+        entries = (entry for block in range(0, index.size, _WRITE_BLOCK)
+                   for entry in zip(index[block : block + _WRITE_BLOCK].tolist(),
+                                    values[block : block + _WRITE_BLOCK].tolist()))
+    return "".join(_blocks(f"{k:0{n}b} {v:.17g}\n" for k, v in entries))

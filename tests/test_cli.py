@@ -191,6 +191,36 @@ def test_verify_at_the_sparse_cap(capsys):
     assert out == "n=10000 fidelity=1.000000000000\n"
 
 
+def _reference_verify(n, backend):
+    """(stdout, exit code) of verify as its own pipeline, before it became
+    angle_sensitivity at a plate-angle offset of 0."""
+    from wstates import WNetwork, basis_state, fidelity, run, w_reference
+    from wstates.cli import FIDELITY_PASS
+    from wstates.simulator import resolve_backend
+
+    backend = resolve_backend(n, backend)
+    out = run(WNetwork(n), basis_state(n, "V" + "H" * (n - 1), backend=backend))
+    fid = fidelity(out, w_reference(n))
+    return f"n={n} fidelity={fid:.12f}\n", 0 if fid >= FIDELITY_PASS else 2
+
+
+@pytest.mark.parametrize(
+    "n, backend",
+    [*((n, b) for n in range(3, 23) for b in ("dense", "sparse", "auto")),
+     *((n, b) for n in (300, 800, 2000) for b in ("sparse", "auto"))],
+)
+def test_verify_matches_its_own_pipeline(capsys, n, backend):
+    code, out, err = cli(capsys, "verify", "--n", str(n), "--backend", backend)
+    assert (out, code) == _reference_verify(n, backend) and err == ""
+
+
+def test_verify_past_the_float_range_exits_2(capsys):
+    # The size is checked before the backend's cap, as analyze and sweep do.
+    code, out, err = cli(capsys, "verify", "--n", str(10**200))
+    assert code == 2 and out == ""
+    assert err == "error: unsupported size: need n <= 1.896e+154, whose gate count is a float\n"
+
+
 def test_verify_3_to_16_under_ten_seconds(capsys):
     start = time.perf_counter()
     for n in range(3, 17):
@@ -266,6 +296,22 @@ def test_growth_csv_matches_reference_counts(capsys):
         "6,19,5,14",
         "7,26,6,20",
     ]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize(
+    "argv",
+    [("angles", "--max", "40"), ("growth", "--max", "40"),
+     ("sweep", "--n", "8", "--deltas", "0,0.1,0.2,0.5,1,2,3,5,8")],
+    ids=["angles", "growth", "sweep"],
+)
+def test_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, capsys, argv, block):
+    import wstates.base
+
+    code, expected, _ = cli(capsys, *argv)
+    assert code == 0 and expected.count("\n") > block
+    monkeypatch.setattr(wstates.base, "_WRITE_BLOCK", block)
+    assert cli(capsys, *argv) == (0, expected, "")
 
 
 def test_growth_rejects_small_max(capsys):

@@ -100,8 +100,10 @@ def test_every_traced_name_resolves_and_is_wrapped_where_called():
     """)
 
 
-def test_a_wrapper_set_before_the_first_load_is_kept():
-    _fresh("""
+def test_a_wrapper_set_before_the_first_load_is_kept(tmp_path):
+    path = tmp_path / "c.wc"
+    path.write_text("wcircuit 1\nqubits 5\nF 1 2 0.5\nCNOT 2 5\n")
+    _fresh(f"""
     import wstates.cli as cli
     from wstates.simulator import run
 
@@ -113,7 +115,7 @@ def test_a_wrapper_set_before_the_first_load_is_kept():
         return run(*args, **kwargs)
 
     cli.run = wrapper
-    assert cli.main(["verify", "--n", "5"]) == 0
+    assert cli.main(["simulate", "--circuit", {str(path)!r}, "--input", "VHHHH"]) == 0
     assert calls == [5] and cli.run is wrapper
     assert "basis_state" in vars(cli)
     """)
