@@ -29,9 +29,14 @@ owns, so no gate allocates more than a chunk.  The sparse engine keeps
 each key as 64-bit words beside an amplitude vector (crossing its boundary
 in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
 control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
-and adds s of its partner, paired by one stable sort when the rows hold both
-values of the target bit (a W coupler's one row has none), and appends each
-missing partner as s of its row.  Only _compact, which ends each mix, drops
+and adds s of its partner, and appends each missing partner as s of its row.
+It finds the partners by one stable sort when the rows hold both values of
+the target bit (a W coupler's one row has none), unless it holds them
+already: a mix of every row keeps its pairing on the target as row numbers,
+and the next uncontrolled mix on that target reuses it, so the plates of a
+lowered coupler sort at most once.  A CNOT controlled by that target, any
+other mix, and a _compact that drops a row end the pairing; CZs and other
+CNOTs leave partners partners.  Only _compact, which ends each mix, drops
 rows (below PRUNE_THRESHOLD); a one-row mix skips it when the support is
 pruned and neither value it wrote is below.  With no support bound known,
 _grow raises CapacityError before passing SPARSE_ENGINE_BYTES.
@@ -328,6 +333,7 @@ class _SparseEngine:
         self.offset = 64 * self.w - n - 1
         self.m = 0
         self.pruned = False  # every live amplitude known to be >= PRUNE_THRESHOLD
+        self.pair = None  # (t, partner row of each row) while every row has its partner on t
         self.keys = np.zeros((self.w, 0), dtype=np.uint64)
         self.amps = np.zeros(0)
         self._grow(len(items))
@@ -339,7 +345,7 @@ class _SparseEngine:
     def _grow(self, needed: int) -> None:
         """The only allocation: needed rows of 4 * (8W + 8) bytes, within SPARSE_ENGINE_BYTES."""
         # A row's words and amplitude take 8W + 8 bytes; the factor covers the
-        # temporaries of a mix over the whole support.
+        # kept pairing's 8 and the temporaries of a mix over the whole support.
         cap = self.amps.shape[0]
         if needed <= cap:
             return
@@ -360,6 +366,7 @@ class _SparseEngine:
         self.pruned = True
         if live.all():
             return
+        self.pair = None
         k = int(live.sum())
         self.keys[:, :k] = self.keys[:, :m][:, live]
         self.amps[:k] = self.amps[:m][live]
@@ -376,6 +383,10 @@ class _SparseEngine:
         return self.keys[word, : self.m] & bit != 0
 
     def cnot(self, control: int, target: int) -> None:
+        # Two partners share every bit but their own, so the pairs survive
+        # unless that bit is the control.
+        if self.pair is not None and self.pair[0] == control:
+            self.pair = None
         word, bit = self._bit(target)
         self.keys[word, : self.m] ^= self._has(control) * np.uint64(bit)
 
@@ -384,9 +395,6 @@ class _SparseEngine:
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
         m = self.m
-        rows = np.arange(m) if control is None else np.flatnonzero(self._has(control))
-        if rows.size == 0:
-            return
         c, s = math.cos(alpha), math.sin(alpha)
         word, bit = self._bit(target)
         # R(alpha) = [[c, s], [s, -c]]: a row whose target bit is b keeps
@@ -394,6 +402,16 @@ class _SparseEngine:
         # differs in that bit alone.  A missing partner is appended, in
         # source-row order, with s of the row; _compact then drops the rows
         # below PRUNE_THRESHOLD.
+        if control is None and self.pair is not None and self.pair[0] == target:
+            # Every row's partner is known, so no row is appended.
+            amps = self.amps[:m]
+            self.amps[:m] = np.where(self._has(target), -c, c) * amps + s * amps[self.pair[1]]
+            self._compact()
+            return
+        self.pair = None
+        rows = np.arange(m) if control is None else np.flatnonzero(self._has(control))
+        if rows.size == 0:
+            return
         if rows.size == 1:
             # Every coupler of the W network: scalars beat a dozen tiny arrays,
             # and on a pruned support only the two values written can need
@@ -409,30 +427,47 @@ class _SparseEngine:
             if not (self.pruned and min(abs(kept), abs(added)) >= PRUNE_THRESHOLD):
                 self._compact()
             return
-        sub = self.keys[:, rows]
-        ones = (sub[word] & bit) != 0
-        amps = self.amps[rows]
-        partner = np.zeros(rows.size)
-        lone = np.ones(rows.size, dtype=bool)
+        self._mix_rows(rows, target, c, s, control is None)
+        self._compact()
+
+    def _mix_rows(self, rows: np.ndarray, target: int, c: float, s: float, every: bool) -> None:
+        """mix on two or more rows, without _compact, so that its temporaries
+        are gone before _compact copies the survivors.  If the rows are every
+        row, the pairing on target is kept in self.pair."""
+        m = self.m
+        word, bit = self._bit(target)
+        ones = self.keys[word, rows] & bit != 0
+        mate = np.full(rows.size, -1)  # the place in rows of each row's partner, or -1
         # A pair holds both values of the target bit, so rows that all share
         # one (every elementary coupler's first ROT) skip the sort.
         if ones.any() and not ones.all():
+            sub = self.keys[:, rows]
             sub[word] &= ~np.uint64(bit)
             order = np.lexsort(sub[::-1])
-            ranked = sub[:, order]
-            pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+            sub = sub[:, order]
+            pair = (sub[:, 1:] == sub[:, :-1]).all(axis=0)
             lo, hi = order[:-1][pair], order[1:][pair]
-            partner[lo], partner[hi] = amps[hi], amps[lo]
-            lone[lo] = lone[hi] = False
-        self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
-        src, vals = rows[lone], s * amps[lone]
-        end = m + len(src)
+            mate[lo], mate[hi] = hi, lo
+            del sub, order, pair, lo, hi
+        lone = mate < 0
+        amps = self.amps[rows]
+        gain = amps[mate]  # s times the partner, 0.0 for a lone row, in one array
+        gain[lone] = 0.0
+        gain *= s
+        self.amps[rows] = np.where(ones, -c, c) * amps + gain
+        del ones, gain  # before _grow, which holds the old arrays and the new
+        src = rows[lone]
+        end = m + src.size
         self._grow(end)
         self.keys[:, m:end] = self.keys[:, src]
         self.keys[word, m:end] ^= np.uint64(bit)
-        self.amps[m:end] = vals
+        self.amps[m:end] = s * amps[lone]
         self.m = end
-        self._compact()
+        if every:
+            # mate holds row numbers, and the row appended for a lone row is
+            # its partner.
+            mate[lone] = np.arange(m, end)
+            self.pair = (target, np.concatenate((mate, src)))
 
     def live(self) -> np.ndarray:
         return self.amps[: self.m]

@@ -391,6 +391,115 @@ def test_mix_matches_the_reference_mix(drawn):
     assert _bits_of(out) == _bits_of(expected)
 
 
+# --- the pair cache against the mix that sorted every time ------------------
+#
+# _sorting_mix is _SparseEngine.mix as it was before the pair cache: each mix
+# over rows that hold both values of the target bit pairs them by one stable
+# sort.  The cached engine must give the same key and amplitude bits after
+# every gate.
+
+def _sorting_mix(self, control, target, alpha):
+    m = self.m
+    rows = np.arange(m) if control is None else np.flatnonzero(self._has(control))
+    if rows.size == 0:
+        return
+    c, s = math.cos(alpha), math.sin(alpha)
+    word, bit = self._bit(target)
+    if rows.size == 1:
+        r = rows.item()
+        a = self.amps.item(r)
+        kept, added = (-c if self.keys.item(word, r) & bit else c) * a, s * a
+        self._grow(m + 1)
+        self.keys[:, m] = self.keys[:, r]
+        self.keys[word, m] ^= np.uint64(bit)
+        self.amps[r], self.amps[m] = kept, added
+        self.m = m + 1
+        if not (self.pruned and min(abs(kept), abs(added)) >= PRUNE_THRESHOLD):
+            self._compact()
+        return
+    sub = self.keys[:, rows]
+    ones = (sub[word] & bit) != 0
+    amps = self.amps[rows]
+    partner = np.zeros(rows.size)
+    lone = np.ones(rows.size, dtype=bool)
+    if ones.any() and not ones.all():
+        sub[word] &= ~np.uint64(bit)
+        order = np.lexsort(sub[::-1])
+        ranked = sub[:, order]
+        pair = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+        lo, hi = order[:-1][pair], order[1:][pair]
+        partner[lo], partner[hi] = amps[hi], amps[lo]
+        lone[lo] = lone[hi] = False
+    self.amps[rows] = np.where(ones, -c, c) * amps + s * partner
+    src, vals = rows[lone], s * amps[lone]
+    end = m + len(src)
+    self._grow(end)
+    self.keys[:, m:end] = self.keys[:, src]
+    self.keys[word, m:end] ^= np.uint64(bit)
+    self.amps[m:end] = vals
+    self.m = end
+    self._compact()
+
+
+def _focused_gates(n):
+    """0-12 gates that mostly touch one wire t: ROTs on t, and ROTs, Fs,
+    CNOTs and CZs on t or on any wire, so CNOTs both controlled by t and onto
+    t.  Angles 0, pi/2 and pi leave rows below PRUNE_THRESHOLD, and a ROT
+    repeated at one angle is the identity, whose appended rows cancel."""
+    wires = _edge_wire(n)
+
+    def for_target(t):
+        focus = st.one_of(st.just(t), wires)
+        pairs = _wire_pair(focus)
+        angles = st.one_of(ANGLES, st.sampled_from((0.0, 0.3, math.pi / 2, math.pi)))
+        return st.lists(st.one_of(
+            st.builds(ROT, st.just(t), angles),
+            st.builds(ROT, wires, angles),
+            st.builds(lambda p, a: F(p[0], p[1], a), pairs, angles),
+            pairs.map(lambda p: CNOT(*p)),
+            pairs.map(lambda p: CZ(*p)),
+        ), max_size=12)
+
+    return wires.flatmap(for_target)
+
+
+def _engine_bits(engine):
+    return engine.keys[:, : engine.m].tobytes(), engine.amps[: engine.m].tobytes()
+
+
+# Each sequence starts with an uncontrolled mix over two rows, which keeps its
+# pairing: then a CNOT onto t and a CZ keep it; a CNOT controlled by t, a mix
+# on another target, an F and a row pruned by _compact each drop it.  The
+# last example grows the engine past its 16 first rows in the mix that keeps
+# the pairing on wire 5.
+_TWO_ROWS = {0b100: 0.6, 0b001: 0.8}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, 6), st.sampled_from((63, 64, 65, 130))).flatmap(
+    lambda n: st.tuples(st.just(n), _focused_gates(n), _sparse_input(n))))
+@example((3, (ROT(2, 0.7), ROT(2, 0.4), CNOT(1, 2), ROT(2, 0.4), ROT(2, 0.7)), _TWO_ROWS))
+@example((3, (ROT(2, 0.7), CZ(1, 2), ROT(2, 0.7), ROT(2, 0.2)), _TWO_ROWS))
+@example((3, (ROT(2, 0.7), CNOT(2, 1), ROT(2, 0.4)), _TWO_ROWS))
+@example((3, (ROT(2, 0.7), ROT(3, 0.5), ROT(2, 0.4)), _TWO_ROWS))
+@example((3, (ROT(2, 0.7), F(1, 3, 0.5), ROT(2, 0.4)), _TWO_ROWS))
+@example((3, (ROT(2, 0.3), ROT(2, 0.3), ROT(2, 0.4), CNOT(3, 2), ROT(2, 0.5)), _TWO_ROWS))
+@example((6, (ROT(2, 0.7), ROT(3, 0.5), ROT(4, 0.3), ROT(5, 0.9), CNOT(1, 5), ROT(5, 0.2),
+              CZ(5, 6), CNOT(5, 6), ROT(5, 0.4)), {0b000001: 0.6, 0b100000: 0.8}))
+def test_pair_cache_matches_the_sorting_mix(drawn):
+    n, gates, amplitudes = drawn
+    cached, sorting = _SparseEngine(n, amplitudes), _SparseEngine(n, amplitudes)
+    for g in gates:
+        for engine, mix in ((cached, _SparseEngine.mix), (sorting, _sorting_mix)):
+            if g.kind == "CNOT":
+                engine.cnot(g.control, g.target)
+            elif g.kind == "CZ":
+                engine.cz(g.control, g.target)
+            else:
+                mix(engine, g.control, g.target, g.angle)
+        assert _engine_bits(cached) == _engine_bits(sorting), g
+
+
 # --- the chunked dense engine against the engine it replaced -----------------
 #
 # _ReferenceDenseEngine is _DenseEngine as it was before it worked in chunks:

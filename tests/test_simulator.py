@@ -1,4 +1,5 @@
 """Dense and sparse backends: golden states, cross-checks, invariants."""
+import hashlib
 import math
 import tracemalloc
 from types import MappingProxyType
@@ -21,6 +22,7 @@ from wstates import (
     dump_state,
     encode_bits,
     fidelity,
+    lower,
     run,
     unitary_of,
     w_reference,
@@ -336,6 +338,46 @@ def test_sparse_support_budget(monkeypatch):
     monkeypatch.setattr(wstates.simulator, "SPARSE_ENGINE_BYTES", 64 * (12 + 8))
     with pytest.raises(CapacityError, match=r"^sparse support of \d+ entries at 12 qubits"):
         run(circuit, basis_state(12, "VHVHVHVHVHVH", backend="sparse"))
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_sparse_peak_stays_within_the_engine_budget(monkeypatch, n):
+    # Twenty V's grow the support until the row limit stops the run.  The
+    # engine's arrays and the temporaries of its widest mix must fit the
+    # budget; 256 KiB of slack covers the op plan and the exception.  At one
+    # key word (n = 60) the 8-byte row numbers weigh most against the charge.
+    budget = 1 << 22
+    circuit = lower(build_w_circuit(n), Level.ELEMENTARY)
+    state = basis_state(n, "V" * 20 + "H" * (n - 20), backend="sparse")
+    monkeypatch.setattr(simulator, "SPARSE_ENGINE_BYTES", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="engine budget"):
+            run(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + 2**18, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("level", [Level.CZ_LEVEL, Level.ELEMENTARY], ids=lambda level: level.name)
+def test_a_lowered_coupler_sorts_at_most_once(monkeypatch, level):
+    # Every plate of a lowered F(j, j+1) mixes all rows on j+1.  The first
+    # pairs each row with the one it appends; the rest reuse that pairing.
+    n = 300
+    network = build_w_circuit(n)
+    circuit = lower(network, level)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+    out = run(circuit, _input(n, "sparse"))
+    monkeypatch.undo()
+    assert len(sorts) <= network.gate_counts()["F"]
+    if level == Level.ELEMENTARY:
+        # The dump CI's packaging step pins for the same run.
+        assert hashlib.sha256(dump_state(out).encode()).hexdigest() == (
+            "2a862b91baac8ffc58ef0771ed40db10984e303932c1745ce42be45de853323c"
+        )
 
 
 def test_sparse_budget_holds_the_w_network_at_the_qubit_cap():
