@@ -75,7 +75,8 @@ class SensitivityRecord:
     fidelity: float
 
     def failed(self, threshold: float = FAILURE_FIDELITY_THRESHOLD) -> bool:
-        return self.fidelity < threshold
+        # A NaN fidelity fails too, where `fidelity < threshold` would pass it.
+        return not self.fidelity >= threshold
 
 
 def resource_report(n: int, gate_success_prob: float = DEFAULT_GATE_SUCCESS) -> ResourceReport:

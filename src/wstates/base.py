@@ -2,12 +2,14 @@
 
 Everything here is plain Python: the gate kind codes, the lowering levels,
 the wcircuit header, the size and row caps and their checks, _blocks (the
-block writer of the CSV tables and state dumps), and the network's closed
-forms (gate counts, coupler angles, the gate order _network_ops and the
-network's wcircuit text _network_text, which `synth` writes).  The `synth`,
-`analyze`, `growth` and `angles` verbs need nothing else, so they run
-without loading numpy.  gates, synthesis and circuit_io import these names
-from here and export them as their own.
+block writer of the CSV tables and state dumps), _emit (the one writer of
+every output: each verb's text and save_circuit's file), and the network's
+closed forms (gate counts, coupler angles, the gate order _network_ops and
+the network's wcircuit text _network_text, which `synth` writes).  The
+`synth`, `analyze`, `growth` and `angles` verbs need nothing else, so they
+run without loading numpy.  These names are defined only here: each module
+imports from here the ones it uses, except that the modules built on gates
+take the kind codes and Level through it.
 
 cli and analysis also hold numpy-backed names (build_w_circuit, run, ...).
 They get them through _binder, which binds them as module globals on first
@@ -18,6 +20,7 @@ set before the first load, is kept.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import importlib
 import math
@@ -34,12 +37,9 @@ F_CODE, CNOT_CODE, CZ_CODE, ROT_CODE = range(len(GATE_KINDS))
 MAX_QUBITS = 2**31 - 1  # gate columns hold wire indices as int32
 # Most rows `synth`, `angles` and `growth` write: the gates `synth` emits
 # (n = 2047 at most) or the lines of a table; past it they exit 3 before
-# building.  `lower` has no cap of its own: lowering the n = 2047 circuit to
-# elementary writes 2,104,310 rows.  At the cap, on 2 Xeon vCPUs with
-# Python 3.11 and numpy 2.4, a `synth` process takes 0.11-0.18 s and peaks at
-# 15 MB resident, `lower --to elementary` of its file 0.9-1.2 s and 264 MB,
-# `angles` 2.3-2.8 s and 16 MB, `growth` 2.4-2.7 s and 16 MB (all three
-# stream their text, and none loads numpy).
+# building, so each of them takes a few seconds at most (the README has the
+# times).  `lower` has no cap of its own: lowering the n = 2047 circuit to
+# elementary writes 2,104,310 rows.
 ROW_CAP = 1 << 21
 _WRITE_BLOCK = 4096  # lines a writer lays out or joins at a time
 _HEADER, _VERSION = "wcircuit", "1"  # a wcircuit file's first line
@@ -50,6 +50,14 @@ def _blocks(lines):
     lines = iter(lines)
     while block := "".join(islice(lines, _WRITE_BLOCK)):
         yield block
+
+
+def _emit(chunks, out) -> None:
+    """Write the text chunks, UTF-8 with LF line ends, to the file out (a str
+    or a Path) or, when out is None, to sys.stdout as it is at the call."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(chunks)
 
 
 class Level(enum.IntEnum):

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .base import _HEADER, _VERSION
+from .base import _HEADER, _VERSION, _emit
 from .base import _WRITE_BLOCK  # gate lines serialize_circuit lays out at a time
 from .errors import CircuitParseError
 from .gates import (
@@ -287,5 +287,4 @@ def load_circuit(path) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_circuit(circuit))
+    _emit((serialize_circuit(circuit),), path)

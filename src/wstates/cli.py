@@ -8,17 +8,17 @@ digits.  Exit codes: 0 success, 2 usage/parse error, 3 capacity error.
 synth, analyze, angles and growth evaluate closed forms only, and run
 without loading numpy: synth writes the network's text with
 base._network_text, straight from its op stream.  verify is sweep's
-pipeline, analysis.angle_sensitivity, at a plate-angle offset of 0; the
-tables and dumps write their lines through base._blocks.  The names lower
-and simulate use from the numpy-backed modules are bound on first use
-(base._binder): each of those verbs calls _load() first and then uses them
-as bare names, and a read of one of them from outside the module, such as a
-wrapper being installed, binds them too and keeps whatever wrapper is set.
+pipeline, analysis.angle_sensitivity, at a plate-angle offset of 0, with
+SensitivityRecord.failed(FIDELITY_PASS) as its verdict (a NaN fails); every
+verb writes through base._emit.  The names lower and simulate use from the
+numpy-backed modules are bound on first use (base._binder): each of those
+verbs calls _load() first and then uses them as bare names, and a read of
+one of them from outside the module, such as a wrapper being installed,
+binds them too and keeps whatever wrapper is set.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -33,8 +33,8 @@ from .analysis import (
     plate_angle_table,
     resource_report,
 )
-from .base import Level, _binder, _blocks, _network_text, _require_rows, predicted_counts
-from .errors import CapacityError, CircuitParseError
+from .base import Level, _binder, _blocks, _emit, _network_text, _require_rows, predicted_counts
+from .errors import CapacityError
 
 # The numpy-backed names, bound by _load() on first use (see base._binder).
 # build_w_circuit, fidelity and w_reference are unused here: wbench/tracer.py
@@ -56,13 +56,6 @@ def _fmt(value: float) -> str:
 
 def _round12(value: float) -> float:
     return float(f"{value:.12g}")
-
-
-def _emit(chunks, out: str | None) -> None:
-    """Write every verb's output: the text chunks, to the file out or to stdout."""
-    with (open(out, "w", encoding="utf-8", newline="\n") if out is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.writelines(chunks)
 
 
 def _csv(header: str, lines):
@@ -99,8 +92,7 @@ def _cmd_verify(args) -> int:
     # positive angle, so its bits are the network's own.
     (record,) = angle_sensitivity(args.n, 1, (0.0,), backend=args.backend)
     _emit((f"n={args.n} fidelity={record.fidelity:.12f}\n",), None)
-    # Not record.failed(): a NaN fidelity must fail too.
-    return 0 if record.fidelity >= FIDELITY_PASS else 2
+    return 2 if record.failed(FIDELITY_PASS) else 0
 
 
 def _cmd_analyze(args) -> int:
@@ -234,7 +226,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-    except (CircuitParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

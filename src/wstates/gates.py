@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The names shared with the numpy-free verbs live in base; every one of them
-# stays importable from here.
 from .base import (
     CNOT_CODE,
     CZ_CODE,
@@ -46,10 +44,8 @@ from .base import (
     GATE_KINDS,
     MAX_QUBITS,
     ROT_CODE,
-    ROW_CAP,
     Level,
     _qubit_count,
-    _require_rows,
 )
 from .errors import CapacityError
 

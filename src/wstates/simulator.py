@@ -563,7 +563,7 @@ def run(
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n}"
         )
-    chosen = resolve_backend(state.n, backend or state.backend)
+    chosen = resolve_backend(state.n, state.backend if backend is None else backend)
     state = state.to_dense() if chosen == "dense" else state.to_sparse()
     return _execute(state, circuit.ops(), check_norm)
 

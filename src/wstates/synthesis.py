@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The closed forms live in base, where the numpy-free verbs read them; they
-# stay importable from here.
 from .base import (
-    N_MAX,
-    CountPrediction,
-    _counts,
     _coupler_alpha,
     _network_ops,
     _require_size,

@@ -19,8 +19,7 @@ from wstates import (
     w_reference,
 )
 from wstates.errors import CapacityError
-from wstates.gates import ROW_CAP
-from wstates.synthesis import N_MAX
+from wstates.base import N_MAX, ROW_CAP
 
 TABLE_ROWS = [(3, 4, 2, 2), (4, 8, 3, 5), (5, 13, 4, 9), (6, 19, 5, 14), (7, 26, 6, 20)]
 
@@ -289,3 +288,6 @@ def test_failure_classification_threshold():
     assert not record.failed(threshold=0.4)
     good = SensitivityRecord(100, 1, 0.0, fidelity=1.0)
     assert not good.failed()
+    nan = SensitivityRecord(100, 1, 0.0, fidelity=math.nan)
+    assert nan.failed()
+    assert nan.failed(threshold=0.4)

@@ -11,7 +11,7 @@ import pytest
 from wstates import parse_circuit
 from wstates.analysis import DEFAULT_DELTAS, DEFAULT_EXTRA_PAIR_RATE, DEFAULT_GATE_SUCCESS
 from wstates.cli import build_parser, main
-from wstates.gates import ROW_CAP
+from wstates.base import ROW_CAP
 
 EMPTY_2Q = "wcircuit 1\nqubits 2\n"
 

@@ -575,9 +575,10 @@ def test_sparse_run_of_a_dense_input_matches_the_sparse_run():
     assert list(via_dense.amplitudes.items()) == list(sparse.amplitudes.items())
 
 
-def test_run_rejects_unknown_backend():
-    with pytest.raises(ValueError, match=r"^unknown backend 'bogus'$"):
-        run(build_w_circuit(5), basis_state(5, "VHHHH"), backend="bogus")
+@pytest.mark.parametrize("backend", ["bogus", ""])
+def test_run_rejects_unknown_backend(backend):
+    with pytest.raises(ValueError, match=rf"^unknown backend {backend!r}$"):
+        run(build_w_circuit(5), basis_state(5, "VHHHH"), backend=backend)
 
 
 def test_quantum_state_rejects_wrong_dense_length():
