@@ -7,9 +7,8 @@ every output: each verb's text and save_circuit's file), and the network's
 closed forms (gate counts, coupler angles, the gate order _network_ops and
 the network's wcircuit text _network_text, which `synth` writes).  The
 `synth`, `analyze`, `growth` and `angles` verbs need nothing else, so they
-run without loading numpy.  These names are defined only here: each module
-imports from here the ones it uses, except that the modules built on gates
-take the kind codes and Level through it.
+run without loading numpy.  These names are defined only here, and each
+module imports from here the ones it uses.
 
 cli and analysis also hold numpy-backed names (build_w_circuit, run, ...).
 They get them through _binder, which binds them as module globals on first

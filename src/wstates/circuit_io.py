@@ -16,12 +16,13 @@ between fields.  The reader takes ASCII text whose lines end at LF (the CR
 of a CR LF is a separator), whose fields are separated by runs of spaces
 and tabs, and where `#` starts a comment; every other character is a token
 character.  load_circuit reads with universal newlines, so CR-only and
-CR LF files load too.  Blank lines are ignored.  The qubit count and every
-index are one or more ASCII digits: no sign, no `_`, no other script's
-digits.  An angle is a finite decimal float in ASCII with no `_`, sign and
-exponent allowed (`-0.5`, `1e+20`).  Parsing is strict: unknown keywords,
-bad tokens, out-of-range indices, missing or extra fields, and gate kinds
-that fit no lowering level are hard errors.
+CR LF files load too, and refuses a file of more than FILE_CAP characters
+(a CR LF is one) with CapacityError.  Blank lines are ignored.  The qubit
+count and every index are one or more ASCII digits: no sign, no `_`, no
+other script's digits.  An angle is a finite decimal float in ASCII with
+no `_`, sign and exponent allowed (`-0.5`, `1e+20`).  Parsing is strict:
+unknown keywords, bad tokens, out-of-range indices, missing or extra
+fields, and gate kinds that fit no lowering level are hard errors.
 
 The parser reads the whole text in one pass of array operations, with no
 loop over lines.  It encodes the text as ASCII, one byte per character and
@@ -52,18 +53,10 @@ import math
 
 import numpy as np
 
-from .base import _HEADER, _VERSION, _emit
+from .base import F_CODE, GATE_KINDS, MAX_QUBITS, ROT_CODE, _HEADER, _VERSION, Level, _emit
 from .base import _WRITE_BLOCK  # gate lines serialize_circuit lays out at a time
-from .errors import CircuitParseError
-from .gates import (
-    F_CODE,
-    GATE_KINDS,
-    MAX_QUBITS,
-    ROT_CODE,
-    Circuit,
-    GateColumns,
-    Level,
-)
+from .errors import CapacityError, CircuitParseError
+from .gates import Circuit, GateColumns
 
 # Byte table for bytes.translate: 1 where a byte may be part of a token,
 # that is, anything but a tab, an LF, a space or `#`.
@@ -73,6 +66,10 @@ _KEYWORDS = np.array([k.encode() + b" " for k in GATE_KINDS]).view(np.uint8).res
     len(GATE_KINDS), -1)
 _UINT32_DIGITS = 9  # a uint32 holds every decimal of this many digits
 _TOO_BIG = MAX_QUBITS + 1  # past every qubit count and index bound
+# Most characters load_circuit reads: above the largest file the toolkit
+# writes, the n = 2047 network lowered to elementary (29,631,762).  A file
+# verb peaks at about 9x its file, so at about 300 MB at this cap.
+FILE_CAP = 32 << 20
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -282,8 +279,13 @@ def _angle(token: bytes) -> float | None:
 
 
 def load_circuit(path) -> Circuit:
+    """Parse the wcircuit file at path; CapacityError, before parsing, if
+    it holds more than FILE_CAP characters."""
     with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+        text = fh.read(FILE_CAP + 1)
+    if len(text) > FILE_CAP:
+        raise CapacityError(f"the file {path} is longer than the cap of {FILE_CAP} characters")
+    return parse_circuit(text)
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -15,10 +15,18 @@ numpy-backed modules are bound on first use (base._binder): each of those
 verbs calls _load() first and then uses them as bare names, and a read of
 one of them from outside the module, such as a wrapper being installed,
 binds them too and keeps whatever wrapper is set.
+
+program is the process entry, of `python -m wstates` and the `wstates`
+script: main on sys.argv, then gc.freeze() once the verb returns or raises,
+so that the interpreter's collections at shutdown skip every object the
+verb left (about 20,000 after `import numpy`).  main is the in-process
+entry, for tests, the bench's tracer and library callers, and never touches
+the collector.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -231,5 +239,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def program() -> int:
+    """main on sys.argv, then gc.freeze() whether main returns or raises, so
+    the collections the interpreter runs at shutdown skip the heap it left."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

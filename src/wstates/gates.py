@@ -39,7 +39,6 @@ import numpy as np
 
 from .base import (
     CNOT_CODE,
-    CZ_CODE,
     F_CODE,
     GATE_KINDS,
     MAX_QUBITS,

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .gates import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Circuit, GateColumns, Level
+from .base import CNOT_CODE, CZ_CODE, F_CODE, ROT_CODE, Level
+from .gates import Circuit, GateColumns
 
 
 def _rewrite(circuit: Circuit, code: int, middle: int, plate) -> Circuit:

@@ -50,17 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _WRITE_BLOCK, _blocks
+from .base import _WRITE_BLOCK, CNOT_CODE, CZ_CODE, F_CODE, _blocks, _qubit_count
 from .errors import CapacityError
-from .gates import (
-    CNOT_CODE,
-    CZ_CODE,
-    F_CODE,
-    Circuit,
-    _frozen_column,
-    _gate_of,
-    _qubit_count,
-)
+from .gates import Circuit, _frozen_column, _gate_of
 
 DENSE_QUBIT_CAP = 24
 SPARSE_QUBIT_CAP = 10000

@@ -28,12 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (
+    CNOT_CODE,
+    Level,
     _coupler_alpha,
     _network_ops,
+    _qubit_count,
     _require_size,
     predicted_counts,
 )
-from .gates import CNOT_CODE, Circuit, GateColumns, Level, _qubit_count
+from .gates import Circuit, GateColumns
 
 
 @dataclass(frozen=True, slots=True)

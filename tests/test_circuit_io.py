@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from wstates import (
     CNOT,
     CZ,
+    CapacityError,
     Circuit,
     CircuitParseError,
     F,
@@ -253,6 +254,31 @@ def test_files_load_with_any_newline(tmp_path):
         path.write_bytes(text.replace("\n", newline).encode())
         loaded.append(load_circuit(path))
     assert loaded[0] == loaded[1] == loaded[2] == parse_circuit(text)
+
+
+def test_load_circuit_reads_up_to_the_file_cap(monkeypatch, tmp_path):
+    text = serialize_circuit(build_w_circuit(4))
+    path = tmp_path / "c.wc"
+    path.write_bytes(text.replace("\n", "\r\n").encode())  # a CR LF is one character
+    monkeypatch.setattr(circuit_io, "FILE_CAP", len(text))
+    assert load_circuit(path) == parse_circuit(text)
+    path.write_text(text + "#" * (1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            load_circuit(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"the file {path} is longer than the cap of {len(text)} characters"
+    assert peak < 1 << 16  # the read stopped one character past the cap
+
+
+def test_file_cap_admits_the_largest_file_the_toolkit_writes():
+    # synth writes at most n = 2047 (the row cap), and lowering to
+    # elementary makes its largest file.
+    text = serialize_circuit(lower(build_w_circuit(2047), Level.ELEMENTARY))
+    assert len(text) == 29_631_762 <= circuit_io.FILE_CAP
 
 
 # The whitespace the grammar does not take, a lone CR included: each is a

@@ -1,4 +1,5 @@
 """CLI behavior: output formats, exit codes, determinism."""
+import gc
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from wstates import parse_circuit
 from wstates.analysis import DEFAULT_DELTAS, DEFAULT_EXTRA_PAIR_RATE, DEFAULT_GATE_SUCCESS
-from wstates.cli import build_parser, main
+from wstates.cli import build_parser, main, program
 from wstates.base import ROW_CAP
 
 EMPTY_2Q = "wcircuit 1\nqubits 2\n"
@@ -156,6 +157,25 @@ def test_simulate_capacity_exits_3(tmp_path, capsys):
         "--backend", "dense",
     )
     assert code == 3 and "capped" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("lower", "--to", "elementary"), ("simulate", "--input", "VHH")],
+    ids=["lower", "simulate"],
+)
+def test_file_verbs_exit_3_past_the_file_cap(monkeypatch, tmp_path, capsys, argv):
+    import wstates.circuit_io
+
+    def no_parse(text):
+        raise AssertionError("a file past the cap was parsed")
+
+    src = tmp_path / "c.wc"
+    cli(capsys, "synth", "--n", "3", "--out", str(src))
+    cap = src.stat().st_size - 1
+    monkeypatch.setattr(wstates.circuit_io, "FILE_CAP", cap)
+    monkeypatch.setattr(wstates.circuit_io, "parse_circuit", no_parse)
+    assert cli(capsys, argv[0], "--circuit", str(src), *argv[1:]) == (
+        3, "", f"error: the file {src} is longer than the cap of {cap} characters\n")
 
 
 def test_simulate_checks_input_before_capacity(tmp_path, capsys):
@@ -389,7 +409,7 @@ def test_output_is_byte_identical_across_invocations(capsys):
     assert first == second
 
 
-def test_module_entry_point_subprocess(tmp_path):
+def test_module_entry_point_subprocess(tmp_path, capsys):
     synth = subprocess.run(
         [sys.executable, "-m", "wstates", "synth", "--n", "3"],
         capture_output=True, text=True,
@@ -404,11 +424,36 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert sim.returncode == 0
     assert len(sim.stdout.splitlines()) == 3
-    bad = subprocess.run(
-        [sys.executable, "-m", "wstates", "synth", "--n", "1"],
-        capture_output=True, text=True,
-    )
-    assert bad.returncode == 2
+    # The process entry gives main's bytes and exit code: a stdout of
+    # several 4,096-line blocks, a bad input and an over-cap size.
+    for argv, code in ((("growth", "--max", "20000"), 0), (("synth", "--n", "1"), 2),
+                       (("verify", "--n", "10001"), 3)):
+        child = subprocess.run([sys.executable, "-m", "wstates", *argv], capture_output=True)
+        assert cli(capsys, *argv) == (code, child.stdout.decode(), child.stderr.decode())
+        assert child.returncode == code
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--n", "5"), ("verify", "--n", "5")],
+                         ids=["light", "numpy"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli(capsys, *argv)[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, code", [(("analyze", "--n", "5"), 0), (("synth",), 2)],
+                         ids=["returns", "raises"])
+def test_program_freezes_the_heap_once_the_verb_is_done(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["wstates", *argv])
+    frozen = gc.get_freeze_count()
+    try:
+        try:
+            assert program() == code
+        except SystemExit as exc:  # argparse's exit on a usage error
+            assert exc.code == code
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
 
 
 def _no_engine(monkeypatch, when):
