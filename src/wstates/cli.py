@@ -45,12 +45,14 @@ from .base import Level, _binder, _blocks, _emit, _network_text, _require_rows, 
 from .errors import CapacityError
 
 # The numpy-backed names, bound by _load() on first use (see base._binder).
-# build_w_circuit, fidelity and w_reference are unused here: wbench/tracer.py
-# wraps them by name in this module, so they stay importable from it.
+# build_w_circuit, dump_state, fidelity and w_reference are unused here:
+# wbench/tracer.py wraps them by name in this module, so they stay importable
+# from it.
 _load, __getattr__ = _binder(globals(), {
     "circuit_io": ("load_circuit", "serialize_circuit"),
     "lowering": ("lower",),
-    "simulator": ("basis_state", "dump_state", "fidelity", "run", "w_reference"),
+    "simulator": ("_dump_blocks", "basis_state", "dump_state", "fidelity", "run",
+                  "w_reference"),
     "synthesis": ("build_w_circuit",),
 })
 
@@ -91,7 +93,8 @@ def _cmd_simulate(args) -> int:
     # The input is checked before run resolves the backend and its cap, so
     # a malformed input exits 2 even on a circuit no backend can run.
     state = basis_state(circuit.n_qubits, args.input, backend="sparse")
-    _emit((dump_state(run(circuit, state, backend=args.backend)),), None)
+    # The dump goes out a block at a time, never as one string.
+    _emit(_dump_blocks(run(circuit, state, backend=args.backend)), None)
     return 0
 
 

@@ -25,21 +25,27 @@ cnot(control, target), cz(control, target) or mix(control or None, target,
 angle).  The dense engine keeps the state flat and reads the two halves a
 CNOT or mix pairs as np.void blocks of the free run below the gate's lowest
 qubit; it swaps or mixes them _CHUNK amplitudes at a time in four buffers it
-owns, so no gate allocates more than a chunk.  The sparse engine keeps
-each key as 64-bit words beside an amplitude vector (crossing its boundary
-in one bytes buffer): a CNOT XORs the target bit of the rows that hold the
-control, a CZ is one masked sign flip.  A mix keeps +-c of each selected row
-and adds s of its partner, and appends each missing partner as s of its row.
-It finds the partners by one stable sort when the rows hold both values of
-the target bit (a W coupler's one row has none), unless it holds them
-already: a mix of every row keeps its pairing on the target as row numbers,
-and the next uncontrolled mix on that target reuses it, so the plates of a
-lowered coupler sort at most once.  A CNOT controlled by that target, any
-other mix, and a _compact that drops a row end the pairing; CZs and other
-CNOTs leave partners partners.  Only _compact, which ends each mix, drops
-rows (below PRUNE_THRESHOLD); a one-row mix skips it when the support is
-pruned and neither value it wrote is below.  With no support bound known,
-_grow raises CapacityError before passing SPARSE_ENGINE_BYTES.
+owns, so no gate allocates more than a chunk.  Its live map, one flag per
+row of _CHUNK amplitudes, tells the rows that hold only +0.0 bits; a CNOT or
+mix skips each chunk that lies in such rows only, unless the mix's angle has
+a negative sine and makes -0.0 of +0.0; a CZ, which does too, marks the rows
+it negates live.  So a W-network run from a basis state copies the chunks of
+a few rows at each gate, not all 2**n amplitudes, and gives the same bits.
+The sparse engine keeps each key as 64-bit words beside an amplitude vector
+(crossing its boundary in one bytes buffer): a CNOT XORs the target bit of
+the rows that hold the control, a CZ is one masked sign flip.  A mix keeps
++-c of each selected row and adds s of its partner, and appends each missing
+partner as s of its row.  It finds the partners by one stable sort when the
+rows hold both values of the target bit (a W coupler's one row has none),
+unless it holds them already: a mix of every row keeps its pairing on the
+target as row numbers, and the next uncontrolled mix on that target reuses
+it, so the plates of a lowered coupler sort at most once.  A CNOT controlled
+by that target, any other mix, and a _compact that drops a row end the
+pairing; CZs and other CNOTs leave partners partners.  Only _compact, which
+ends each mix, drops rows (below PRUNE_THRESHOLD); a one-row mix skips it
+when the support is pruned and neither value it wrote is below.  With no
+support bound known, _grow raises CapacityError before passing
+SPARSE_ENGINE_BYTES.
 """
 from __future__ import annotations
 
@@ -47,6 +53,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -223,13 +230,38 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 # --- engines: cnot, cz, mix, live, amplitudes -----------------------------
 
 class _DenseEngine:
-    """Run-private flat copy of a dense amplitude array, and four float
-    buffers of up to _CHUNK amplitudes each, in which CNOTs and mixes work."""
+    """Run-private flat copy of a dense amplitude array, four float buffers
+    of up to _CHUNK amplitudes each, in which CNOTs and mixes work, and the
+    live map.
+
+    The live map holds one flag per row of _CHUNK amplitudes: the top
+    n - log2(_CHUNK) qubits, the row qubits, index the rows (there is one
+    row if the state is no longer than _CHUNK), and the other qubits, the
+    column qubits, index a row's amplitudes.  It is read from the input, and
+    a row's flag is False only while the row holds nothing but +0.0 bits.
+
+    A CNOT or mix skips each chunk whose two halves lie in dead rows only,
+    when its kernel maps (+0.0, +0.0) to (+0.0, +0.0) bit for bit: a CNOT
+    always, a mix unless the sine of its angle is negative (see mix).  A
+    chunk it does not skip goes through the same copies and ufuncs as with
+    every row live, so no bit of the state depends on the map.  A CZ cannot
+    skip, because -1.0 times +0.0 is -0.0: it multiplies every amplitude it
+    selects and marks every row it touches live."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         self.n = n
         self.flat = amplitudes.copy()
         self.buffers = np.empty((4, min(_CHUNK, (1 << n) // 2)))
+        rows = max(1, (1 << n) // _CHUNK)
+        live = self.flat.view(np.uint64).reshape(rows, -1).max(axis=1) != 0
+        self.live_map = live.reshape((2,) * (rows.bit_length() - 1))  # an axis per row qubit
+
+    def _rows(self, held: dict[int, int]) -> np.ndarray:
+        """The view of the live map over the rows whose row qubits in held
+        have their bits there; a column qubit in held selects nothing."""
+        axes = (slice(held[q], held[q] + 1) if q in held else slice(None)
+                for q in range(1, self.live_map.ndim + 1))
+        return self.live_map[(..., *axes)]
 
     def _shape(self, qubits: list[int], block: int) -> list[int]:
         """Axes that split the state at the ascending qubits: the free run
@@ -241,10 +273,11 @@ class _DenseEngine:
             top = q + 1
         return shape + [(1 << (self.n - top + 1)) // block]
 
-    def _pairs(self, control: int | None, target: int, kernel) -> None:
+    def _pairs(self, control: int | None, target: int, kernel, skip: bool = True) -> None:
         """Pass the two halves a gate pairs, target bit 0 and 1 with the
         control bit 1, through kernel(a, b, sa, sb) a chunk at a time, or
-        swap them if kernel is None.
+        swap them if kernel is None.  With skip, the chunks whose halves lie
+        in dead rows only are left out.
 
         The halves are views of the state as np.void blocks, each at most
         _CHUNK amplitudes of the free run below the gate's lowest qubit, so
@@ -275,7 +308,29 @@ class _DenseEngine:
         chunk = dims[lead:]
         floats = tuple(self.buffers[:, : math.prod(chunk) * block])
         a, b = (f.view(void).reshape(chunk) for f in floats[:2])
-        for i in np.ndindex(*dims[:lead]):
+        chunks = np.ndindex(*dims[:lead])
+        if not self.live_map.all():
+            rows_a, rows_b = (self._rows({**held, target: bit}) for bit in (0, 1))
+            if skip:
+                # A chunk fixes the first f free qubits, and the free row
+                # qubits come first: it covers the rows that agree with it on
+                # the first f of them, or, past the rows, part of one row.
+                f = math.prod(dims[:lead]).bit_length() - 1
+                live = (rows_a | rows_b).reshape(-1)
+                free_rows = live.size.bit_length() - 1
+                live = live.reshape(1 << min(f, free_rows), -1).any(axis=1)
+                chunks = compress(chunks, live.repeat(1 << max(f - free_rows, 0)).tolist())
+            # The flags after the gate, from those before it.  With the target
+            # a column qubit, rows_a and rows_b are one view and nothing
+            # changes, unless a mix that cannot skip writes -0.0 there.
+            if kernel is None and control <= self.live_map.ndim:
+                rows_a[...], rows_b[...] = rows_b.copy(), rows_a.copy()
+            elif skip:
+                rows_a |= rows_b
+                rows_b[...] = rows_a
+            else:
+                rows_a[...] = rows_b[...] = True
+        for i in chunks:
             np.copyto(a, half_a[i])
             if kernel is None:
                 np.copyto(half_a[i], half_b[i])
@@ -292,6 +347,7 @@ class _DenseEngine:
     def cz(self, control: int, target: int) -> None:
         qubits = sorted((control, target))
         self.flat.reshape(self._shape(qubits, 1))[:, 1, :, 1] *= -1.0
+        self._rows({control: 1, target: 1})[...] = True
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
         c, s = math.cos(alpha), math.sin(alpha)
@@ -306,7 +362,10 @@ class _DenseEngine:
             np.multiply(b, c, out=b)
             np.subtract(sa, b, out=b)
 
-        self._pairs(control, target, rotate)
+        # rotate makes (c * 0.0 + s * 0.0, s * 0.0 - c * 0.0) of two +0.0
+        # amplitudes: both +0.0 if s is, whatever the sign of c, and one of
+        # them -0.0 if s is negative (or -0.0).
+        self._pairs(control, target, rotate, math.copysign(1.0, s) > 0)
 
     def live(self) -> np.ndarray:
         return self.flat
@@ -563,6 +622,11 @@ def run(
 def dump_state(state: QuantumState) -> str:
     """Text dump: '<bitstring> <amplitude>' per nonzero entry, sorted by
     descending |amplitude| then bitstring; 17 digits, through base._blocks."""
+    return "".join(_dump_blocks(state))
+
+
+def _dump_blocks(state: QuantumState):
+    """dump_state's text, a block of _WRITE_BLOCK lines at a time."""
     n = state.n
     # Bitstrings of one width sort as their indices.
     if state.backend == "sparse":
@@ -576,4 +640,4 @@ def dump_state(state: QuantumState) -> str:
         entries = (entry for block in range(0, index.size, _WRITE_BLOCK)
                    for entry in zip(index[block : block + _WRITE_BLOCK].tolist(),
                                     values[block : block + _WRITE_BLOCK].tolist()))
-    return "".join(_blocks(f"{k:0{n}b} {v:.17g}\n" for k, v in entries))
+    yield from _blocks(f"{k:0{n}b} {v:.17g}\n" for k, v in entries)

@@ -568,7 +568,7 @@ def _dense_gates(n):
     ), min_size=1, max_size=6)
 
 
-def _apply(engine, gates):
+def _apply(engine, gates, after=lambda engine: None):
     for g in gates:
         if g.kind == "CNOT":
             engine.cnot(g.control, g.target)
@@ -576,7 +576,32 @@ def _apply(engine, gates):
             engine.cz(g.control, g.target)
         else:
             engine.mix(g.control, g.target, g.angle)
+        after(engine)
     return engine.amplitudes().tobytes()
+
+
+def _few_nonzeros(n):
+    """{index: value}: some entries -0.0, then 1-4 nonzero entries."""
+    index = st.integers(0, (1 << n) - 1)
+    return st.tuples(
+        st.dictionaries(index, st.just(-0.0), max_size=3),
+        st.dictionaries(index, st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=4),
+    ).map(lambda d: {**d[0], **d[1]})
+
+
+def _dense_input(n, source):
+    """The standard normal draw of a seed, or zeros but for the {index: value}
+    entries of a sparse input."""
+    if isinstance(source, int):
+        return np.random.default_rng(source).standard_normal(1 << n)
+    amplitudes = np.zeros(1 << n)
+    amplitudes[list(source)] = list(source.values())
+    return amplitudes
+
+
+def _dead_rows_hold_zero_bits(engine):
+    rows = engine.flat.view(np.uint64).reshape(engine.live_map.size, -1)
+    assert not rows[~engine.live_map.reshape(-1)].any()
 
 
 # Sizes up to 18 at the real _CHUNK; up to 10 at chunks of 1, 2 and 8
@@ -587,9 +612,10 @@ _CHUNK_SIZES = st.one_of(
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(_CHUNK_SIZES.flatmap(lambda nc: st.tuples(
-    st.just(nc), _dense_gates(nc[0]), st.integers(0, 2**32 - 1))))
+    st.just(nc), _dense_gates(nc[0]),
+    st.one_of(st.integers(0, 2**32 - 1), _few_nonzeros(nc[0])))))
 # At n=18 and _CHUNK = 2**14: free runs below the lowest qubit longer than a
 # chunk (qubits 1-3), equal to one (4) and shorter (5-18); halves of 8 chunks
 # (ROT) and of 4 (the rest); control above, below and beside the target.
@@ -598,9 +624,19 @@ _CHUNK_SIZES = st.one_of(
 @example(((18, simulator._CHUNK), (CNOT(2, 1), CNOT(9, 16), CNOT(17, 18), CZ(18, 1)), 3))
 @example(((2, simulator._CHUNK), (F(2, 1, 0.7), CNOT(1, 2), CZ(2, 1)), 4))
 @example(((1, 1), (ROT(1, 0.7),), 5))
+# Sparse inputs at n=16, whose 4 rows are indexed by qubits 1 and 2.  The W
+# network at n=18 from |VH...H>, which moves one excitation through live and
+# dead rows; a ROT at -2.5 (cos and sin negative), which writes -0.0 into a
+# dead pair of rows, through a row target and a column target; a CZ, which
+# writes -0.0 into a dead row that the next mix must then not skip.
+@example(((18, simulator._CHUNK), build_w_circuit(18).gates, {1 << 17: 1.0}))
+@example(((16, simulator._CHUNK), (ROT(1, -2.5), ROT(16, -2.5)), {0: 1.0}))
+@example(((16, simulator._CHUNK), (ROT(16, -2.5), ROT(2, 0.7)), {0: 1.0, 1 << 15: -0.0}))
+@example(((16, simulator._CHUNK), (CZ(1, 2), ROT(1, 0.7)), {0: 1.0}))
 def test_dense_engine_matches_the_reference_engine(drawn):
-    (n, chunk), gates, seed = drawn
-    amplitudes = np.random.default_rng(seed).standard_normal(1 << n)
+    (n, chunk), gates, source = drawn
+    amplitudes = _dense_input(n, source)
     expected = _apply(_ReferenceDenseEngine(n, amplitudes), gates)
     with patch.object(simulator, "_CHUNK", chunk):
-        assert _apply(simulator._DenseEngine(n, amplitudes), gates) == expected
+        engine = simulator._DenseEngine(n, amplitudes)
+        assert _apply(engine, gates, _dead_rows_hold_zero_bits) == expected

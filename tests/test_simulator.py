@@ -330,6 +330,34 @@ def test_dense_run_peak_is_the_state_and_its_scratch():
     assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
+def test_dense_run_copies_only_the_chunks_of_live_rows(monkeypatch):
+    # A CNOT or mix copies a chunk into its first buffer once; the W network
+    # at n=20 is 640 chunks of both halves with every row live.  From
+    # |VH...H> the state holds at most 20 nonzeros, in at most 7 of its 64
+    # rows, and the dead rows' chunks are skipped.
+    n = 20
+    engines, copied = [], []
+
+    class Engine(simulator._DenseEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    copyto = np.copyto
+
+    def counting(dst, src, **kwargs):
+        copied.append(np.may_share_memory(dst, engines[-1].buffers[0]))
+        copyto(dst, src, **kwargs)
+
+    monkeypatch.setattr(simulator, "_DenseEngine", Engine)
+    monkeypatch.setattr(np, "copyto", counting)
+    full = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2)))
+    for state, chunks in ((_input(n, "dense"), 151), (full, 640)):
+        copied.clear()
+        run(build_w_circuit(n), state)
+        assert sum(copied) == chunks
+
+
 def test_sparse_support_budget(monkeypatch):
     import wstates.simulator
 
