@@ -41,8 +41,9 @@ each followed by a space, where a leading zero is NUL, and so are a ROT's
 control and the space after it and the space after a target with no angle;
 the angle text, formatted once for each distinct angle in the block; the
 LF.  The text holds no NUL, so the block's bytes are the matrix's nonzero
-bytes in order.  Each block is decoded before the next is laid out, and the
-text is joined once.
+bytes in order.  Each block is decoded before the next is laid out;
+serialize_circuit joins the text once, and save_circuit writes each block
+as it comes.
 
 The format carries no lowering level: a Circuit reads its level off its
 gate kinds (see gates.Circuit).
@@ -77,15 +78,19 @@ def serialize_circuit(circuit: Circuit) -> str:
 
     ELEMENTARY circuits annotate each ROT line with the physical
     half-wave-plate angle alpha/2, the knob an experimenter actually sets.
-    Each block of _WRITE_BLOCK gates is laid out as one byte matrix and
-    decoded before the next, so one block's bytes at most are alive beside
-    the text.
     """
+    return "".join(_text_blocks(circuit))
+
+
+def _text_blocks(circuit: Circuit):
+    """serialize_circuit's text: the header, then each block of _WRITE_BLOCK
+    gates, laid out as one byte matrix and decoded before the next, so one
+    block's bytes at most are alive beside the text a caller keeps."""
     n = circuit.n_qubits
     d = len(str(n))
     # A circuit's level fixes its one angled kind: F at COMPOSITE, ROT below.
     plate_comments = circuit.level == Level.ELEMENTARY
-    blocks = [f"{_HEADER} {_VERSION}\nqubits {n}\n"]
+    yield f"{_HEADER} {_VERSION}\nqubits {n}\n"
     cols = circuit.gates
     for block in range(0, len(cols), _WRITE_BLOCK):
         rows = slice(block, block + _WRITE_BLOCK)
@@ -117,8 +122,7 @@ def serialize_circuit(circuit: Circuit) -> str:
         fields[angled, 1, d] = 32
         line[angled, -tail - 1 : -1] = suffix.view(np.uint8).reshape(-1, tail)[which]
         line[:, -1] = 10
-        blocks.append(line[line != 0].tobytes().decode("ascii"))
-    return "".join(blocks)
+        yield line[line != 0].tobytes().decode("ascii")
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -289,4 +293,5 @@ def load_circuit(path) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    _emit((serialize_circuit(circuit),), path)
+    """Write serialize_circuit's text to path, a block of gates at a time."""
+    _emit(_text_blocks(circuit), path)

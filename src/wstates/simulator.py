@@ -22,15 +22,16 @@ fan-in layers becomes a CNOT ladder, any other run its CNOTs in order.
 _execute's loop is the only op loop and the only dispatch on gate kind; with
 check_norm it checks the norm after each gate.  An engine applies one gate:
 cnot(control, target), cz(control, target) or mix(control or None, target,
-angle).  The dense engine keeps the state flat and reads the two halves a
-CNOT or mix pairs as np.void blocks of the free run below the gate's lowest
-qubit; it swaps or mixes them _CHUNK amplitudes at a time in four buffers it
-owns, so no gate allocates more than a chunk.  Its live map, one flag per
-row of _CHUNK amplitudes, tells the rows that hold only +0.0 bits; a CNOT or
-mix skips each chunk that lies in such rows only, unless the mix's angle has
-a negative sine and makes -0.0 of +0.0; a CZ, which does too, marks the rows
-it negates live.  So a W-network run from a basis state copies the chunks of
-a few rows at each gate, not all 2**n amplitudes, and gives the same bits.
+angle).  The dense engine keeps the state flat, in rows of _CHUNK
+amplitudes, and one live flag per row that is False while the row holds
+only +0.0 bits.  A CNOT or mix works a pair of rows at a time: it reads the
+two halves it pairs in them as np.void blocks of the free run below the
+gate's lowest qubit, and swaps or mixes them in four buffers of _CHUNK
+amplitudes it owns, so no gate allocates.  It skips each pair of dead rows,
+unless the mix's angle has a negative sine and makes -0.0 of +0.0; a CZ,
+which does too, sets the flags of the rows it negates.  So a W-network run
+from a basis state copies a few rows at each gate, not all 2**n amplitudes,
+and gives the same bits.
 The sparse engine keeps each key as 64-bit words beside an amplitude vector
 (crossing its boundary in one bytes buffer): a CNOT XORs the target bit of
 the rows that hold the control, a CZ is one masked sign flip.  A mix keeps
@@ -53,7 +54,6 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -67,7 +67,7 @@ SPARSE_ENGINE_BYTES = 1 << 28  # holds 16384 rows of SPARSE_QUBIT_CAP qubits
 AUTO_DENSE_MAX = 20
 PRUNE_THRESHOLD = 1e-15
 _NORM_GUARD = 1e-9
-_CHUNK = 1 << 14  # amplitudes of each half a dense gate holds in its buffers at once
+_CHUNK = 1 << 14  # amplitudes of a dense row, and of each buffer a dense gate works in
 _BINARY = str.maketrans("HV", "01")  # encode_bits reads H as 0 and V as 1
 
 
@@ -231,43 +231,46 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 class _DenseEngine:
     """Run-private flat copy of a dense amplitude array, four float buffers
-    of up to _CHUNK amplitudes each, in which CNOTs and mixes work, and the
-    live map.
+    of up to _CHUNK amplitudes each, in which CNOTs and mixes work, and one
+    live flag per row.
 
-    The live map holds one flag per row of _CHUNK amplitudes: the top
-    n - log2(_CHUNK) qubits, the row qubits, index the rows (there is one
-    row if the state is no longer than _CHUNK), and the other qubits, the
-    column qubits, index a row's amplitudes.  It is read from the input, and
-    a row's flag is False only while the row holds nothing but +0.0 bits.
+    A row is _CHUNK amplitudes, or the whole state if it is no longer: the
+    top r = n - log2(_CHUNK) qubits, the row qubits, number the rows, and the
+    other qubits, the column qubits, index a row's amplitudes.  The flags are
+    read from the input, and a row's flag is False only while the row holds
+    nothing but +0.0 bits.
 
-    A CNOT or mix skips each chunk whose two halves lie in dead rows only,
-    when its kernel maps (+0.0, +0.0) to (+0.0, +0.0) bit for bit: a CNOT
-    always, a mix unless the sine of its angle is negative (see mix).  A
-    chunk it does not skip goes through the same copies and ufuncs as with
-    every row live, so no bit of the state depends on the map.  A CZ cannot
-    skip, because -1.0 times +0.0 is -0.0: it multiplies every amplitude it
-    selects and marks every row it touches live."""
+    A CNOT or mix works a pair of rows at a time and skips each pair of dead
+    rows when its kernel maps (+0.0, +0.0) to (+0.0, +0.0) bit for bit: a
+    CNOT always, a mix unless the sine of its angle is negative (see mix).  A
+    pair it does not skip goes through the same copies and ufuncs whatever
+    the flags, so no bit of the state depends on them.  A CZ cannot skip,
+    because -1.0 times +0.0 is -0.0: it multiplies every amplitude it selects
+    and sets the flag of every row it touches."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         self.n = n
         self.flat = amplitudes.copy()
         self.buffers = np.empty((4, min(_CHUNK, (1 << n) // 2)))
         rows = max(1, (1 << n) // _CHUNK)
-        live = self.flat.view(np.uint64).reshape(rows, -1).max(axis=1) != 0
-        self.live_map = live.reshape((2,) * (rows.bit_length() - 1))  # an axis per row qubit
+        self.row_qubits = rows.bit_length() - 1
+        self.flags = self.flat.view(np.uint64).reshape(rows, -1).max(axis=1) != 0
 
     def _rows(self, held: dict[int, int]) -> np.ndarray:
-        """The view of the live map over the rows whose row qubits in held
-        have their bits there; a column qubit in held selects nothing."""
-        axes = (slice(held[q], held[q] + 1) if q in held else slice(None)
-                for q in range(1, self.live_map.ndim + 1))
-        return self.live_map[(..., *axes)]
+        """The numbers of the rows whose row qubits in held have their bits
+        there; a column qubit in held selects nothing."""
+        r = self.row_qubits
+        rows = np.arange(self.flags.size)
+        for q, bit in held.items():
+            if q <= r:  # row qubit q is bit r - q of a row's number
+                rows = rows[rows >> (r - q) & 1 == bit]
+        return rows
 
-    def _shape(self, qubits: list[int], block: int) -> list[int]:
-        """Axes that split the state at the ascending qubits: the free run
-        above each qubit, a 2 for the qubit, then the run below the last in
-        blocks of block amplitudes."""
-        shape, top = [], 1
+    def _shape(self, qubits: list[int], block: int, top: int = 1) -> list[int]:
+        """Axes that split the qubits from top on at the ascending qubits:
+        the free run above each qubit, a 2 for the qubit, then the run below
+        the last in blocks of block amplitudes."""
+        shape = []
         for q in qubits:
             shape += [1 << (q - top), 2]
             top = q + 1
@@ -275,71 +278,54 @@ class _DenseEngine:
 
     def _pairs(self, control: int | None, target: int, kernel, skip: bool = True) -> None:
         """Pass the two halves a gate pairs, target bit 0 and 1 with the
-        control bit 1, through kernel(a, b, sa, sb) a chunk at a time, or
-        swap them if kernel is None.  With skip, the chunks whose halves lie
-        in dead rows only are left out.
+        control bit 1, through kernel(a, b, sa, sb) a pair of rows at a time,
+        or swap them if kernel is None.  With skip, the pairs of dead rows
+        are left out.
 
-        The halves are views of the state as np.void blocks, each at most
-        _CHUNK amplitudes of the free run below the gate's lowest qubit, so
-        a copy walks long rows of blocks and never short rows of floats.  A
-        chunk of at most _CHUNK amplitudes of each half is copied into the
-        buffers a and b, kernel works on them in place with the buffers sa
-        and sb, and a and b are copied back.  A swap copies one half's chunk
-        through a buffer and the other's straight across."""
+        A pair is a row i with the target bit 0 and the control bit 1 among
+        its row qubits, and i | the target's row bit (i itself for a column
+        target).  The column qubits the gate holds pick its halves in the two
+        rows, as np.void blocks of at most _CHUNK amplitudes of the free run
+        below the gate's lowest qubit, so a copy walks long rows of blocks and
+        never short rows of floats.  The halves are copied into the buffers a
+        and b, kernel works on them in place with the buffers sa and sb, and
+        a and b are copied back.  A swap copies one half through a buffer and
+        the other's straight across."""
+        r = self.row_qubits
         held = {} if control is None else {control: 1}
         qubits = sorted([*held, target])
         block = min(1 << (self.n - qubits[-1]), _CHUNK)
         void = np.dtype((np.void, 8 * block))
-        view = self.flat.view(void).reshape(self._shape(qubits, block))
+        columns = [q for q in qubits if q > r]
+        view = self.flat.view(void).reshape(self.flags.size, *self._shape(columns, block, r + 1))
         half_a, half_b = (
-            view[tuple(i for q in qubits for i in (slice(None), held.get(q, bit)))]
+            view[(slice(None), *(i for q in columns for i in (slice(None), held.get(q, bit))))]
             for bit in (0, 1)
         )
-        # Cut the halves' axes into leading ones, one chunk per index, and
-        # trailing ones of at most _CHUNK // block blocks in all.
-        dims, room = list(half_a.shape), _CHUNK // block
-        lead = len(dims)
-        while lead and dims[lead - 1] <= room:
-            lead -= 1
-            room //= dims[lead]
-        if lead:
-            dims[lead - 1 : lead] = [dims[lead - 1] // room, room]
-        half_a, half_b = half_a.reshape(dims), half_b.reshape(dims)
-        chunk = dims[lead:]
-        floats = tuple(self.buffers[:, : math.prod(chunk) * block])
-        a, b = (f.view(void).reshape(chunk) for f in floats[:2])
-        chunks = np.ndindex(*dims[:lead])
-        if not self.live_map.all():
-            rows_a, rows_b = (self._rows({**held, target: bit}) for bit in (0, 1))
-            if skip:
-                # A chunk fixes the first f free qubits, and the free row
-                # qubits come first: it covers the rows that agree with it on
-                # the first f of them, or, past the rows, part of one row.
-                f = math.prod(dims[:lead]).bit_length() - 1
-                live = (rows_a | rows_b).reshape(-1)
-                free_rows = live.size.bit_length() - 1
-                live = live.reshape(1 << min(f, free_rows), -1).any(axis=1)
-                chunks = compress(chunks, live.repeat(1 << max(f - free_rows, 0)).tolist())
-            # The flags after the gate, from those before it.  With the target
-            # a column qubit, rows_a and rows_b are one view and nothing
-            # changes, unless a mix that cannot skip writes -0.0 there.
-            if kernel is None and control <= self.live_map.ndim:
-                rows_a[...], rows_b[...] = rows_b.copy(), rows_a.copy()
-            elif skip:
-                rows_a |= rows_b
-                rows_b[...] = rows_a
-            else:
-                rows_a[...] = rows_b[...] = True
-        for i in chunks:
+        floats = tuple(self.buffers[:, : half_a[0].size * block])
+        a, b = (f.view(void).reshape(half_a.shape[1:]) for f in floats[:2])
+        rows_a = self._rows({**held, target: 0})
+        rows_b = rows_a | (1 << (r - target) if target <= r else 0)
+        if skip:
+            walked = self.flags[rows_a] | self.flags[rows_b]
+            rows_a, rows_b = rows_a[walked], rows_b[walked]
+        # A CNOT with a row control moves each row's bits to its partner.  Any
+        # other gate may leave a live row's bits in both rows of a pair it
+        # walks, or -0.0 if it is a mix that cannot skip.
+        if kernel is None and control <= r:
+            self.flags[rows_a], self.flags[rows_b] = self.flags[rows_b], self.flags[rows_a]
+        else:
+            self.flags[rows_a] = self.flags[rows_b] = True
+        for i, j in zip(rows_a.tolist(), rows_b.tolist()):
             np.copyto(a, half_a[i])
             if kernel is None:
-                np.copyto(half_a[i], half_b[i])
-                np.copyto(half_b[i], a)
+                np.copyto(half_a[i], half_b[j])
+                np.copyto(half_b[j], a)
                 continue
-            np.copyto(b, half_b[i])
+            np.copyto(b, half_b[j])
             kernel(*floats)
             np.copyto(half_a[i], a)
-            np.copyto(half_b[i], b)
+            np.copyto(half_b[j], b)
 
     def cnot(self, control: int, target: int) -> None:
         self._pairs(control, target, None)
@@ -347,7 +333,7 @@ class _DenseEngine:
     def cz(self, control: int, target: int) -> None:
         qubits = sorted((control, target))
         self.flat.reshape(self._shape(qubits, 1))[:, 1, :, 1] *= -1.0
-        self._rows({control: 1, target: 1})[...] = True
+        self.flags[self._rows({control: 1, target: 1})] = True
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
         c, s = math.cos(alpha), math.sin(alpha)

@@ -330,6 +330,14 @@ def test_serialize_holds_one_block_of_line_strings():
     assert _peak_bytes(serialize_circuit, circuit) <= 3 * len(serialize_circuit(circuit))
 
 
+def test_save_circuit_holds_one_block_of_text(tmp_path):
+    # 6.3 MiB of text, written a block of gate lines at a time.
+    circuit = lower(build_w_circuit(1000), Level.ELEMENTARY)
+    path = tmp_path / "e1000.wc"
+    assert _peak_bytes(save_circuit, circuit, path) <= 2 << 20
+    assert path.read_bytes() == serialize_circuit(circuit).encode()
+
+
 # --- the laid-out writer against the f-string one ----------------------------
 #
 # _reference_serialize is serialize_circuit as it was before it laid out each

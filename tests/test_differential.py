@@ -500,7 +500,7 @@ def test_pair_cache_matches_the_sorting_mix(drawn):
         assert _engine_bits(cached) == _engine_bits(sorting), g
 
 
-# --- the chunked dense engine against the engine it replaced -----------------
+# --- the dense engine, in rows, against the engine it replaced --------------
 #
 # _ReferenceDenseEngine is _DenseEngine as it was before it worked in chunks:
 # the state viewed as n axes of 2, each gate over whole half- or quarter-state
@@ -600,12 +600,12 @@ def _dense_input(n, source):
 
 
 def _dead_rows_hold_zero_bits(engine):
-    rows = engine.flat.view(np.uint64).reshape(engine.live_map.size, -1)
-    assert not rows[~engine.live_map.reshape(-1)].any()
+    rows = engine.flat.view(np.uint64).reshape(engine.flags.size, -1)
+    assert not rows[~engine.flags].any()
 
 
-# Sizes up to 18 at the real _CHUNK; up to 10 at chunks of 1, 2 and 8
-# amplitudes, where halves span many chunks and blocks are cut at the chunk.
+# Sizes up to 18 at the real _CHUNK; up to 10 at rows of 1, 2 and 8
+# amplitudes, where most qubits are row qubits and blocks are cut at the row.
 _CHUNK_SIZES = st.one_of(
     st.tuples(st.integers(1, 18), st.just(simulator._CHUNK)),
     st.tuples(st.integers(1, 10), st.sampled_from((1, 2, 8))),
@@ -617,8 +617,9 @@ _CHUNK_SIZES = st.one_of(
     st.just(nc), _dense_gates(nc[0]),
     st.one_of(st.integers(0, 2**32 - 1), _few_nonzeros(nc[0])))))
 # At n=18 and _CHUNK = 2**14: free runs below the lowest qubit longer than a
-# chunk (qubits 1-3), equal to one (4) and shorter (5-18); halves of 8 chunks
-# (ROT) and of 4 (the rest); control above, below and beside the target.
+# row (qubits 1-3), equal to one (4) and shorter (5-18); row targets, whose
+# halves are whole rows or halves of rows, and column targets, whose halves
+# share a row; control above, below and beside the target.
 @example(((18, simulator._CHUNK), (ROT(1, 0.7), ROT(4, 0.3), ROT(18, -1.1)), 1))
 @example(((18, simulator._CHUNK), (F(1, 2, 0.7), F(17, 3, 0.3), F(18, 17, -1.1)), 2))
 @example(((18, simulator._CHUNK), (CNOT(2, 1), CNOT(9, 16), CNOT(17, 18), CZ(18, 1)), 3))
@@ -633,6 +634,15 @@ _CHUNK_SIZES = st.one_of(
 @example(((16, simulator._CHUNK), (ROT(1, -2.5), ROT(16, -2.5)), {0: 1.0}))
 @example(((16, simulator._CHUNK), (ROT(16, -2.5), ROT(2, 0.7)), {0: 1.0, 1 << 15: -0.0}))
 @example(((16, simulator._CHUNK), (CZ(1, 2), ROT(1, 0.7)), {0: 1.0}))
+# One nonzero at n=18, whose 16 rows are numbered by qubits 1-4, and one
+# example for each rule of the flags: a CNOT with a row control and a row
+# target swaps them; one with a column control ORs them (the ROT leaves bits
+# in both rows); one with a column target leaves them; a mix that cannot skip
+# writes -0.0 into the dead rows and sets their flags.
+@example(((18, simulator._CHUNK), (CNOT(2, 1),), {1 << 16: 1.0}))
+@example(((18, simulator._CHUNK), (ROT(9, 0.7), CNOT(9, 2)), {0: 1.0}))
+@example(((18, simulator._CHUNK), (CNOT(1, 9),), {1 << 17: 1.0}))
+@example(((18, simulator._CHUNK), (ROT(9, -2.5),), {1 << 17: 1.0}))
 def test_dense_engine_matches_the_reference_engine(drawn):
     (n, chunk), gates, source = drawn
     amplitudes = _dense_input(n, source)

@@ -330,11 +330,12 @@ def test_dense_run_peak_is_the_state_and_its_scratch():
     assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
-def test_dense_run_copies_only_the_chunks_of_live_rows(monkeypatch):
-    # A CNOT or mix copies a chunk into its first buffer once; the W network
-    # at n=20 is 640 chunks of both halves with every row live.  From
-    # |VH...H> the state holds at most 20 nonzeros, in at most 7 of its 64
-    # rows, and the dead rows' chunks are skipped.
+def test_dense_run_copies_only_the_amplitudes_of_live_rows(monkeypatch):
+    # A CNOT or mix copies the first half of each pair of rows it works into
+    # the first buffer once; the W network at n=20 copies 10,485,760
+    # amplitudes that way with every row live.  From |VH...H> the state holds
+    # at most 20 nonzeros, in at most 7 of its 64 rows, and the pairs of dead
+    # rows are skipped.
     n = 20
     engines, copied = [], []
 
@@ -346,16 +347,17 @@ def test_dense_run_copies_only_the_chunks_of_live_rows(monkeypatch):
     copyto = np.copyto
 
     def counting(dst, src, **kwargs):
-        copied.append(np.may_share_memory(dst, engines[-1].buffers[0]))
+        if np.may_share_memory(dst, engines[-1].buffers[0]):
+            copied.append(dst.nbytes // 8)
         copyto(dst, src, **kwargs)
 
     monkeypatch.setattr(simulator, "_DenseEngine", Engine)
     monkeypatch.setattr(np, "copyto", counting)
     full = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2)))
-    for state, chunks in ((_input(n, "dense"), 151), (full, 640)):
+    for state, amplitudes in ((_input(n, "dense"), 1_392_640), (full, 10_485_760)):
         copied.clear()
         run(build_w_circuit(n), state)
-        assert sum(copied) == chunks
+        assert sum(copied) == amplitudes
 
 
 def test_sparse_support_budget(monkeypatch):
