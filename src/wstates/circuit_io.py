@@ -17,10 +17,11 @@ of a CR LF is a separator), whose fields are separated by runs of spaces
 and tabs, and where `#` starts a comment; every other character is a token
 character.  load_circuit reads with universal newlines, so CR-only and
 CR LF files load too, and refuses a file of more than FILE_CAP characters
-(a CR LF is one) with CapacityError.  Blank lines are ignored.  The qubit
-count and every index are one or more ASCII digits: no sign, no `_`, no
-other script's digits.  An angle is a finite decimal float in ASCII with
-no `_`, sign and exponent allowed (`-0.5`, `1e+20`).  Parsing is strict:
+(a CR LF is one) with CapacityError; a file of more bytes than that is
+counted a block of characters at a time first.  Blank lines are ignored.
+The qubit count and every index are one or more ASCII digits: no sign, no
+`_`, no other script's digits.  An angle is a finite decimal float in ASCII
+with no `_`, sign and exponent allowed (`-0.5`, `1e+20`).  Parsing is strict:
 unknown keywords, bad tokens, out-of-range indices, missing or extra
 fields, and gate kinds that fit no lowering level are hard errors.
 
@@ -51,6 +52,7 @@ gate kinds (see gates.Circuit).
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -71,6 +73,8 @@ _TOO_BIG = MAX_QUBITS + 1  # past every qubit count and index bound
 # writes, the n = 2047 network lowered to elementary (29,631,762).  A file
 # verb peaks at about 9x its file, so at about 300 MB at this cap.
 FILE_CAP = 32 << 20
+# Characters load_circuit counts at a time in a file of more bytes than FILE_CAP.
+_READ_BLOCK = 1 << 16
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -286,8 +290,17 @@ def load_circuit(path) -> Circuit:
     """Parse the wcircuit file at path; CapacityError, before parsing, if
     it holds more than FILE_CAP characters."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read(FILE_CAP + 1)
-    if len(text) > FILE_CAP:
+        # More bytes than the cap may still be few enough characters (a CR LF
+        # is one), so such a file is counted a block at a time before it is
+        # read whole.  Any other file, a pipe too, is read up to one character
+        # past the cap.
+        left = FILE_CAP + 1  # characters that put the file over the cap
+        if os.fstat(fh.fileno()).st_size > FILE_CAP:
+            while left and (got := len(fh.read(min(_READ_BLOCK, left)))):
+                left -= got
+            fh.seek(0)
+        text = fh.read(FILE_CAP + 1) if left else ""
+    if not left or len(text) > FILE_CAP:
         raise CapacityError(f"the file {path} is longer than the cap of {FILE_CAP} characters")
     return parse_circuit(text)
 

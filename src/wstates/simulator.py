@@ -24,14 +24,14 @@ check_norm it checks the norm after each gate.  An engine applies one gate:
 cnot(control, target), cz(control, target) or mix(control or None, target,
 angle).  The dense engine keeps the state flat, in rows of _CHUNK
 amplitudes, and one live flag per row that is False while the row holds
-only +0.0 bits.  A CNOT or mix works a pair of rows at a time: it reads the
-two halves it pairs in them as np.void blocks of the free run below the
-gate's lowest qubit, and swaps or mixes them in four buffers of _CHUNK
+only +0.0 bits.  Every gate works a pair of rows at a time: it reads the two
+halves it pairs in them as np.void blocks of the free run below the gate's
+lowest qubit, and swaps, negates or mixes them in four buffers of _CHUNK
 amplitudes it owns, so no gate allocates.  It skips each pair of dead rows,
-unless the mix's angle has a negative sine and makes -0.0 of +0.0; a CZ,
-which does too, sets the flags of the rows it negates.  So a W-network run
-from a basis state copies a few rows at each gate, not all 2**n amplitudes,
-and gives the same bits.
+so a W-network run from a basis state copies a few rows at each gate, not
+all 2**n amplitudes.  Every nonzero amplitude gets the bits of a run that
+skips nothing; only a zero may be +0.0 where such a run makes it -0.0,
+which no fidelity and no dump can see (see _DenseEngine).
 The sparse engine keeps each key as 64-bit words beside an amplitude vector
 (crossing its boundary in one bytes buffer): a CNOT XORs the target bit of
 the rows that hold the control, a CZ is one masked sign flip.  A mix keeps
@@ -101,9 +101,10 @@ class QuantumState:
 
     @classmethod
     def _adopt(cls, n: int, amplitudes) -> QuantumState:
-        """A state over arrays made inside this package and held nowhere else:
-        taken over without a copy, marked read-only and checked as by the
-        constructor.  Spares a dense run or basis state a second 2**n array."""
+        """A state over amplitudes made inside this package and held nowhere
+        else, checked as by the constructor: a dense array is taken over
+        without a copy and marked read-only, sparing a run a second 2**n
+        array, and a mapping is copied into a new dict entry by entry."""
         self = cls.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -240,13 +241,13 @@ class _DenseEngine:
     read from the input, and a row's flag is False only while the row holds
     nothing but +0.0 bits.
 
-    A CNOT or mix works a pair of rows at a time and skips each pair of dead
-    rows when its kernel maps (+0.0, +0.0) to (+0.0, +0.0) bit for bit: a
-    CNOT always, a mix unless the sine of its angle is negative (see mix).  A
-    pair it does not skip goes through the same copies and ufuncs whatever
-    the flags, so no bit of the state depends on them.  A CZ cannot skip,
-    because -1.0 times +0.0 is -0.0: it multiplies every amplitude it selects
-    and sets the flag of every row it touches."""
+    Every gate works a pair of rows at a time and skips each pair of dead
+    rows.  A pair it walks goes through the same copies and ufuncs whatever
+    the flags, so every nonzero amplitude has the bits of a run over every
+    pair.  Only the sign of a zero can differ: a CZ or a mix with a negative
+    sine makes -0.0 of +0.0 in the pairs it walks, and +0.0 stays in the
+    pairs it skips.  A zero's sign never reaches a nonzero result of + or *
+    (IEEE 754-2008, 6.3), and the dump lists nonzero entries only."""
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         self.n = n
@@ -266,21 +267,20 @@ class _DenseEngine:
                 rows = rows[rows >> (r - q) & 1 == bit]
         return rows
 
-    def _shape(self, qubits: list[int], block: int, top: int = 1) -> list[int]:
-        """Axes that split the qubits from top on at the ascending qubits:
-        the free run above each qubit, a 2 for the qubit, then the run below
-        the last in blocks of block amplitudes."""
-        shape = []
+    def _shape(self, qubits: list[int], block: int) -> list[int]:
+        """Axes that split a row at the ascending column qubits: the free run
+        above each qubit, a 2 for the qubit, then the run below the last in
+        blocks of block amplitudes."""
+        shape, top = [], self.row_qubits + 1
         for q in qubits:
             shape += [1 << (q - top), 2]
             top = q + 1
         return shape + [(1 << (self.n - top + 1)) // block]
 
-    def _pairs(self, control: int | None, target: int, kernel, skip: bool = True) -> None:
+    def _pairs(self, control: int | None, target: int, kernel) -> None:
         """Pass the two halves a gate pairs, target bit 0 and 1 with the
         control bit 1, through kernel(a, b, sa, sb) a pair of rows at a time,
-        or swap them if kernel is None.  With skip, the pairs of dead rows
-        are left out.
+        or swap them if kernel is None.  The pairs of dead rows are left out.
 
         A pair is a row i with the target bit 0 and the control bit 1 among
         its row qubits, and i | the target's row bit (i itself for a column
@@ -297,7 +297,7 @@ class _DenseEngine:
         block = min(1 << (self.n - qubits[-1]), _CHUNK)
         void = np.dtype((np.void, 8 * block))
         columns = [q for q in qubits if q > r]
-        view = self.flat.view(void).reshape(self.flags.size, *self._shape(columns, block, r + 1))
+        view = self.flat.view(void).reshape(self.flags.size, *self._shape(columns, block))
         half_a, half_b = (
             view[(slice(None), *(i for q in columns for i in (slice(None), held.get(q, bit))))]
             for bit in (0, 1)
@@ -306,12 +306,11 @@ class _DenseEngine:
         a, b = (f.view(void).reshape(half_a.shape[1:]) for f in floats[:2])
         rows_a = self._rows({**held, target: 0})
         rows_b = rows_a | (1 << (r - target) if target <= r else 0)
-        if skip:
-            walked = self.flags[rows_a] | self.flags[rows_b]
-            rows_a, rows_b = rows_a[walked], rows_b[walked]
+        walked = self.flags[rows_a] | self.flags[rows_b]
+        rows_a, rows_b = rows_a[walked], rows_b[walked]
         # A CNOT with a row control moves each row's bits to its partner.  Any
-        # other gate may leave a live row's bits in both rows of a pair it
-        # walks, or -0.0 if it is a mix that cannot skip.
+        # other gate may leave a live row's bits, or -0.0, in both rows of a
+        # pair it walks.
         if kernel is None and control <= r:
             self.flags[rows_a], self.flags[rows_b] = self.flags[rows_b], self.flags[rows_a]
         else:
@@ -331,9 +330,7 @@ class _DenseEngine:
         self._pairs(control, target, None)
 
     def cz(self, control: int, target: int) -> None:
-        qubits = sorted((control, target))
-        self.flat.reshape(self._shape(qubits, 1))[:, 1, :, 1] *= -1.0
-        self.flags[self._rows({control: 1, target: 1})] = True
+        self._pairs(control, target, lambda a, b, sa, sb: np.negative(b, out=b))
 
     def mix(self, control: int | None, target: int, alpha: float) -> None:
         c, s = math.cos(alpha), math.sin(alpha)
@@ -348,10 +345,7 @@ class _DenseEngine:
             np.multiply(b, c, out=b)
             np.subtract(sa, b, out=b)
 
-        # rotate makes (c * 0.0 + s * 0.0, s * 0.0 - c * 0.0) of two +0.0
-        # amplitudes: both +0.0 if s is, whatever the sign of c, and one of
-        # them -0.0 if s is negative (or -0.0).
-        self._pairs(control, target, rotate, math.copysign(1.0, s) > 0)
+        self._pairs(control, target, rotate)
 
     def live(self) -> np.ndarray:
         return self.flat

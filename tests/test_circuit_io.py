@@ -274,6 +274,25 @@ def test_load_circuit_reads_up_to_the_file_cap(monkeypatch, tmp_path):
     assert peak < 1 << 16  # the read stopped one character past the cap
 
 
+def test_load_circuit_refuses_a_file_past_the_cap_holding_one_block(monkeypatch, tmp_path):
+    cap = 4 << 20
+    monkeypatch.setattr(circuit_io, "FILE_CAP", cap)
+    text = serialize_circuit(build_w_circuit(4))
+    path = tmp_path / "c.wc"
+    path.write_text(text + "#" * (cap + 22 - len(text)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            load_circuit(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block of 2**16 characters, the bytes it was decoded from and the
+    # reader's copy of them for tell(): about 0.25 MiB, where reading the
+    # cap's characters whole peaks at twice the cap.
+    assert peak < 1 << 19, f"{peak / 2**20:.2f} MiB"
+
+
 def test_file_cap_admits_the_largest_file_the_toolkit_writes():
     # synth writes at most n = 2047 (the row cap), and lowering to
     # elementary makes its largest file.

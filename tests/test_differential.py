@@ -505,7 +505,7 @@ def test_pair_cache_matches_the_sorting_mix(drawn):
 # _ReferenceDenseEngine is _DenseEngine as it was before it worked in chunks:
 # the state viewed as n axes of 2, each gate over whole half- or quarter-state
 # views, in scratch as large as a view.  It is kept as the specification of
-# the bits.
+# the bits, up to the sign of a zero (see _apply).
 
 def _ix(t, *held):
     """Index into t where each (qubit, bit) is held, at length 1, so no view is 0-d."""
@@ -577,7 +577,10 @@ def _apply(engine, gates, after=lambda engine: None):
         else:
             engine.mix(g.control, g.target, g.angle)
         after(engine)
-    return engine.amplitudes().tobytes()
+    # Adding +0.0 turns -0.0 into +0.0 and keeps every other bit: a dense run
+    # promises the reference's bits up to the sign of a zero, which a pair of
+    # dead rows it skips keeps at +0.0.
+    return (engine.amplitudes() + 0.0).tobytes()
 
 
 def _few_nonzeros(n):
@@ -627,9 +630,10 @@ _CHUNK_SIZES = st.one_of(
 @example(((1, 1), (ROT(1, 0.7),), 5))
 # Sparse inputs at n=16, whose 4 rows are indexed by qubits 1 and 2.  The W
 # network at n=18 from |VH...H>, which moves one excitation through live and
-# dead rows; a ROT at -2.5 (cos and sin negative), which writes -0.0 into a
-# dead pair of rows, through a row target and a column target; a CZ, which
-# writes -0.0 into a dead row that the next mix must then not skip.
+# dead rows; a ROT at -2.5 (cos and sin negative), which would write -0.0
+# into a pair of dead rows, through a row target and a column target, and
+# skips it; a CZ, which skips its pairs of dead rows, then a mix that must
+# walk the pairs with a live row.
 @example(((18, simulator._CHUNK), build_w_circuit(18).gates, {1 << 17: 1.0}))
 @example(((16, simulator._CHUNK), (ROT(1, -2.5), ROT(16, -2.5)), {0: 1.0}))
 @example(((16, simulator._CHUNK), (ROT(16, -2.5), ROT(2, 0.7)), {0: 1.0, 1 << 15: -0.0}))
@@ -637,8 +641,8 @@ _CHUNK_SIZES = st.one_of(
 # One nonzero at n=18, whose 16 rows are numbered by qubits 1-4, and one
 # example for each rule of the flags: a CNOT with a row control and a row
 # target swaps them; one with a column control ORs them (the ROT leaves bits
-# in both rows); one with a column target leaves them; a mix that cannot skip
-# writes -0.0 into the dead rows and sets their flags.
+# in both rows); one with a column target leaves them; a mix with a negative
+# sine skips the pairs of dead rows and leaves them dead.
 @example(((18, simulator._CHUNK), (CNOT(2, 1),), {1 << 16: 1.0}))
 @example(((18, simulator._CHUNK), (ROT(9, 0.7), CNOT(9, 2)), {0: 1.0}))
 @example(((18, simulator._CHUNK), (CNOT(1, 9),), {1 << 17: 1.0}))

@@ -315,8 +315,9 @@ def test_dense_capacity_enforced():
 def test_dense_run_peak_is_the_state_and_its_scratch():
     import tracemalloc
 
-    # The engine's copy of the state and its four chunk buffers, plus 0.5 MiB
-    # for the op plan and the views; the result adopts the engine's copy.
+    # The engine's copy of the state and its four buffers of _CHUNK
+    # amplitudes, plus 0.5 MiB for the op plan and the views; the result
+    # adopts the engine's copy.
     n = 20
     circuit = build_w_circuit(n)
     state = _input(n, "dense")
@@ -330,20 +331,41 @@ def test_dense_run_peak_is_the_state_and_its_scratch():
     assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
-def test_dense_run_copies_only_the_amplitudes_of_live_rows(monkeypatch):
-    # A CNOT or mix copies the first half of each pair of rows it works into
-    # the first buffer once; the W network at n=20 copies 10,485,760
-    # amplitudes that way with every row live.  From |VH...H> the state holds
-    # at most 20 nonzeros, in at most 7 of its 64 rows, and the pairs of dead
-    # rows are skipped.
-    n = 20
-    engines, copied = [], []
+def _recording_engines(monkeypatch):
+    """The dense engines that runs make from now on, in order."""
+    engines = []
 
     class Engine(simulator._DenseEngine):
         def __init__(self, *args):
             super().__init__(*args)
             engines.append(self)
 
+    monkeypatch.setattr(simulator, "_DenseEngine", Engine)
+    return engines
+
+
+def test_dense_gates_leave_pairs_of_dead_rows_at_positive_zero(monkeypatch):
+    # At n=16 the 4 rows are numbered by qubits 1 and 2, and |H...H> lives in
+    # row 0.  The CZ pairs rows 2 and 3, both dead, and the mix with a
+    # negative sine pairs each row with itself: neither writes -0.0 into a
+    # dead row, and the dead rows stay dead.
+    n = 16
+    engines = _recording_engines(monkeypatch)
+    out = run(Circuit(n, (CZ(1, 2), ROT(n, -2.5))), basis_state(n, "H" * n, backend="dense"))
+    rows = out.amplitudes.reshape(4, _CHUNK)
+    assert not np.signbit(rows[1:]).any()
+    assert not rows[1:].any() and rows[0].any()
+    assert engines[-1].flags.tolist() == [True, False, False, False]
+
+
+def test_dense_run_copies_only_the_amplitudes_of_live_rows(monkeypatch):
+    # A gate copies the first half of each pair of rows it works into the
+    # first buffer once; the W network at n=20 copies 10,485,760 amplitudes
+    # that way with every row live.  From |VH...H> the state holds at most 20
+    # nonzeros, in at most 7 of its 64 rows, and the pairs of dead rows are
+    # skipped, by the CZs of the CZ-level network too.
+    n = 20
+    engines, copied = _recording_engines(monkeypatch), []
     copyto = np.copyto
 
     def counting(dst, src, **kwargs):
@@ -351,12 +373,14 @@ def test_dense_run_copies_only_the_amplitudes_of_live_rows(monkeypatch):
             copied.append(dst.nbytes // 8)
         copyto(dst, src, **kwargs)
 
-    monkeypatch.setattr(simulator, "_DenseEngine", Engine)
     monkeypatch.setattr(np, "copyto", counting)
     full = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2)))
-    for state, amplitudes in ((_input(n, "dense"), 1_392_640), (full, 10_485_760)):
+    network, cz_level = build_w_circuit(n), lower(build_w_circuit(n), Level.CZ_LEVEL)
+    for circuit, state, amplitudes in ((network, _input(n, "dense"), 1_392_640),
+                                       (network, full, 10_485_760),
+                                       (cz_level, _input(n, "dense"), 15_695_872)):
         copied.clear()
-        run(build_w_circuit(n), state)
+        run(circuit, state)
         assert sum(copied) == amplitudes
 
 
